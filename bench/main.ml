@@ -670,15 +670,6 @@ let experiment_ablations () =
 (* ------------------------------------------------------------------ *)
 (* E-SIM: simulator backend micro-benchmark (shots/sec, seed vs this PR) *)
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 (* Shots/sec for one (engine, jobs) configuration on a prepared circuit. *)
 let shots_per_sec ?(engine = Mbu_simulator.Sim.Fast) ~jobs ~shots c ~init () =
   let open Mbu_simulator in
@@ -689,7 +680,7 @@ let shots_per_sec ?(engine = Mbu_simulator.Sim.Fast) ~jobs ~shots c ~init () =
   let dt = Unix.gettimeofday () -. t0 in
   float_of_int shots /. Float.max dt 1e-9
 
-let experiment_sim_bench () =
+let experiment_sim_bench ~out () =
   let open Mbu_simulator in
   header "E-SIM: simulator backends, Table-1 Monte-Carlo workload (shots/sec)";
   let shots = 1000 in
@@ -742,7 +733,7 @@ let experiment_sim_bench () =
       sim_rows
   in
   (* machine-readable output for the CI artifact and the README table *)
-  let oc = open_out "BENCH_sim.json" in
+  let oc = open_out out in
   Printf.fprintf oc "{\n  \"workload\": \"table1-modadd-montecarlo\",\n";
   Printf.fprintf oc "  \"shots\": %d,\n" shots;
   Printf.fprintf oc "  \"parallel_backend\": %S,\n  \"jobs\": %d,\n"
@@ -754,14 +745,15 @@ let experiment_sim_bench () =
         "    {\"row\": \"%s\", \"n\": %d, \"seed_shots_per_sec\": %.1f, \
          \"fast_seq_shots_per_sec\": %.1f, \"fast_par_shots_per_sec\": %.1f, \
          \"speedup\": %.2f}%s\n"
-        (json_escape name) n reference fast_seq fast_par
+        (Mbu_telemetry.Telemetry.json_escape name)
+        n reference fast_seq fast_par
         (Float.max fast_seq fast_par /. reference)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   fpf "  (seed = rebuild-per-gate Reference engine; fast = classical track@.";
-  fpf "   + in-place sparse kernel; written to BENCH_sim.json)@."
+  fpf "   + in-place sparse kernel; written to %s)@." out
 
 (* ------------------------------------------------------------------ *)
 (* E-BUILD: DAG IR build + memoized metric wall-clock *)
@@ -785,7 +777,22 @@ let time_ms f =
   done;
   !best *. 1000.
 
-let experiment_build_bench () =
+(* Distinct shared nodes reachable from [instrs]. *)
+let reachable_nodes instrs =
+  let seen = Hashtbl.create 64 in
+  let rec walk = function
+    | Instr.Call n ->
+        if not (Hashtbl.mem seen n.Instr.id) then begin
+          Hashtbl.add seen n.Instr.id ();
+          List.iter walk n.Instr.body
+        end
+    | Instr.If_bit { body; _ } | Instr.Span { body; _ } -> List.iter walk body
+    | Instr.Gate _ | Instr.Measure _ -> ()
+  in
+  List.iter walk instrs;
+  Hashtbl.length seen
+
+let experiment_build_bench ~out () =
   header
     "E-BUILD: hash-consed DAG build + memoized counts/profile (wall-clock)";
   fpf "  tree = pre-PR representation (Instr.expand_calls, every shared@.";
@@ -826,15 +833,14 @@ let experiment_build_bench () =
   let results =
     List.map
       (fun (name, n, build) ->
-        let nodes0 = Instr.shared_nodes () in
         Gc.full_major ();
-        let live0 = (Gc.stat ()).Gc.live_words in
         let t0 = Unix.gettimeofday () in
         let c = build () in
         let build_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        Gc.full_major ();
-        let live_words = (Gc.stat ()).Gc.live_words - live0 in
-        let shared = Instr.shared_nodes () - nodes0 in
+        (* Both sizes are functions of the circuit alone, not of what the
+           process interned before this row. *)
+        let live_words = Obj.reachable_words (Obj.repr c) in
+        let shared = reachable_nodes c.Circuit.instrs in
         let instrs = c.Circuit.instrs in
         let mode = Counts.Expected 0.5 in
         let gates = Counts.total_gates (Counts.of_instrs ~mode:Counts.Worst instrs) in
@@ -872,7 +878,7 @@ let experiment_build_bench () =
           counts_tree_ms, profile_dag_ms, profile_tree_ms, profile_pre_pr_ms ))
       rows_spec
   in
-  let oc = open_out "BENCH_build.json" in
+  let oc = open_out out in
   Printf.fprintf oc "{\n  \"workload\": \"table1+modmul-dag-build\",\n";
   Printf.fprintf oc "  \"profile_span_depth\": false,\n";
   Printf.fprintf oc "  \"rows\": [\n";
@@ -888,8 +894,8 @@ let experiment_build_bench () =
          \"profile_tree_ms\": %.4f, \"profile_speedup_same_methodology\": \
          %.2f, \"profile_pre_pr_ms\": %.4f, \"profile_speedup_vs_pre_pr\": \
          %.1f, \"metrics_speedup_vs_pre_pr\": %.1f}%s\n"
-        (json_escape name) n build_ms live_words gates shared counts_dag_ms
-        counts_tree_ms
+        (Mbu_telemetry.Telemetry.json_escape name)
+        n build_ms live_words gates shared counts_dag_ms counts_tree_ms
         (counts_tree_ms /. Float.max counts_dag_ms 1e-9)
         profile_dag_ms profile_tree_ms
         (profile_tree_ms /. Float.max profile_dag_ms 1e-9)
@@ -901,12 +907,12 @@ let experiment_build_bench () =
     results;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  fpf "  (written to BENCH_build.json)@."
+  fpf "  (written to %s)@." out
 
 (* ------------------------------------------------------------------ *)
 (* E-FAULT: fault-injection campaigns, forced branches, invariant lint *)
 
-let experiment_faults () =
+let experiment_faults ~out () =
   let open Mbu_robustness in
   header "E-FAULT: fault injection / forced branches / invariant linting";
   let n = 5 in
@@ -969,7 +975,7 @@ let experiment_faults () =
        (%d correct / %d detected / %d silent)@."
     vbe.Catalogue.title rx.Engine.runs rx.Engine.sites rx.Engine.correct
     rx.Engine.detected rx.Engine.silent;
-  let oc = open_out "BENCH_faults.json" in
+  let oc = open_out out in
   Printf.fprintf oc "{\n  \"workload\": \"catalogue-fault-campaigns\",\n";
   Printf.fprintf oc "  \"n\": %d,\n  \"p\": %d,\n  \"runs_per_family\": %d,\n"
     n p runs;
@@ -986,7 +992,7 @@ let experiment_faults () =
         "    {\"family\": \"%s\", \"sites\": %d, \"runs\": %d, \"correct\": \
          %d, \"detected\": %d, \"silent\": %d, \"detection_rate\": %.4f, \
          \"silent_rate\": %.4f}%s\n"
-        (json_escape e.Catalogue.title)
+        (Mbu_telemetry.Telemetry.json_escape e.Catalogue.title)
         r.Engine.sites r.Engine.runs r.Engine.correct r.Engine.detected
         r.Engine.silent (Engine.detection_rate r) (Engine.silent_rate r)
         (if i = List.length rows - 1 then "" else ","))
@@ -995,8 +1001,7 @@ let experiment_faults () =
   close_out oc;
   fpf "  (correct = fault absorbed; detected = clean error, dirty ancilla \
        or detector;@.";
-  fpf "   silent = wrong output with nothing noticed; written to \
-       BENCH_faults.json)@."
+  fpf "   silent = wrong output with nothing noticed; written to %s)@." out
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel wall-clock benchmarks *)
@@ -1176,11 +1181,10 @@ let report_phase_times () =
 (* Bench-regression gate: `--compare BASELINE.json` (repeatable).
 
    Each baseline's "workload" field selects the experiment that
-   regenerates it; the experiment runs, the fresh file is diffed against
-   the in-memory baseline with Bench_compare's per-metric thresholds, and
-   any regression turns into a non-zero exit. Note the experiments
-   overwrite the BENCH_*.json in the working tree — `git checkout` them
-   afterwards if you want the committed baselines back. *)
+   regenerates it; the experiment writes its fresh document to a temporary
+   file, which is diffed against the baseline with Bench_compare's
+   per-metric thresholds and then deleted, so the committed baselines stay
+   untouched. Any regression turns into a non-zero exit. *)
 
 module BC = Mbu_telemetry.Bench_compare
 
@@ -1200,12 +1204,9 @@ let compare_paths () =
   List.rev !acc
 
 let experiment_for_workload = function
-  | "table1-modadd-montecarlo" ->
-      Some ("sim_bench", experiment_sim_bench, "BENCH_sim.json")
-  | "table1+modmul-dag-build" ->
-      Some ("build_bench", experiment_build_bench, "BENCH_build.json")
-  | "catalogue-fault-campaigns" ->
-      Some ("faults", experiment_faults, "BENCH_faults.json")
+  | "table1-modadd-montecarlo" -> Some ("sim_bench", experiment_sim_bench)
+  | "table1+modmul-dag-build" -> Some ("build_bench", experiment_build_bench)
+  | "catalogue-fault-campaigns" -> Some ("faults", experiment_faults)
   | _ -> None
 
 let run_compare paths =
@@ -1224,13 +1225,17 @@ let run_compare paths =
           | None ->
               fpf "  baseline %s: unknown workload, cannot regenerate@." path;
               failed := true
-          | Some (name, experiment, fresh_path) ->
+          | Some (name, experiment) ->
               header (Printf.sprintf "Regression gate: %s (%s)" path name);
-              timed name experiment;
-              let report =
-                BC.compare_json ~baseline
-                  ~current:(BC.parse (read_file fresh_path))
+              let fresh_path = Filename.temp_file "bench_" ".json" in
+              let current =
+                Fun.protect
+                  ~finally:(fun () -> Sys.remove fresh_path)
+                  (fun () ->
+                    timed name (experiment ~out:fresh_path);
+                    BC.parse (read_file fresh_path))
               in
+              let report = BC.compare_json ~baseline ~current in
               fpf "@.";
               print_string (BC.render report);
               if report.BC.regressions <> [] then failed := true))
@@ -1259,19 +1264,19 @@ let () =
       fpf "@.done.@.";
       exit 0);
   if Array.exists (String.equal "--build-only") Sys.argv then begin
-    timed "build_bench" experiment_build_bench;
+    timed "build_bench" (experiment_build_bench ~out:"BENCH_build.json");
     report_phase_times ();
     fpf "@.done.@.";
     exit 0
   end;
   if Array.exists (String.equal "--sim-only") Sys.argv then begin
-    timed "sim_bench" experiment_sim_bench;
+    timed "sim_bench" (experiment_sim_bench ~out:"BENCH_sim.json");
     report_phase_times ();
     fpf "@.done.@.";
     exit 0
   end;
   if Array.exists (String.equal "--faults-only") Sys.argv then begin
-    timed "faults" experiment_faults;
+    timed "faults" (experiment_faults ~out:"BENCH_faults.json");
     report_phase_times ();
     fpf "@.done.@.";
     exit 0
@@ -1295,9 +1300,9 @@ let () =
   timed "depth" experiment_depth;
   timed "ft" experiment_ft;
   timed "ablations" experiment_ablations;
-  timed "build_bench" experiment_build_bench;
-  timed "sim_bench" experiment_sim_bench;
-  timed "faults" experiment_faults;
+  timed "build_bench" (experiment_build_bench ~out:"BENCH_build.json");
+  timed "sim_bench" (experiment_sim_bench ~out:"BENCH_sim.json");
+  timed "faults" (experiment_faults ~out:"BENCH_faults.json");
   timed "bechamel" run_bechamel;
   report_phase_times ();
   fpf "@.done.@."

@@ -10,67 +10,45 @@ type t =
   | Flip_outcome of { bit : int }
   | Skip_block of { pos : int }
 
-(* Per-node memo tables, keyed by the interned node's process-unique id
-   (same scheme as Instr's summary memoization). [sites] counts the fault
-   sites inside a node, [slots] its instruction positions — they differ
-   because a k-wire gate is one slot but k sites. *)
-let node_sites_tbl : (int, int) Hashtbl.t = Hashtbl.create 64
-let node_slots_tbl : (int, int) Hashtbl.t = Hashtbl.create 64
+let num_sites instrs = (Instr.scan instrs).Instr.site_count
 
-let rec sites_in_list l =
-  List.fold_left (fun acc i -> acc + sites_in_instr i) 0 l
-
-and sites_in_instr = function
-  | Instr.Gate g -> List.length (Gate.qubits g)
-  | Instr.Measure _ -> 1
-  | Instr.If_bit { body; _ } -> 1 + sites_in_list body
-  | Instr.Span { body; _ } -> sites_in_list body
-  | Instr.Call n -> (
-      match Hashtbl.find_opt node_sites_tbl n.Instr.id with
-      | Some c -> c
-      | None ->
-          let c = sites_in_list n.Instr.body in
-          Hashtbl.add node_sites_tbl n.Instr.id c;
-          c)
-
-let rec slots_in_list l =
-  List.fold_left (fun acc i -> acc + slots_in_instr i) 0 l
-
-and slots_in_instr = function
-  | Instr.Gate _ | Instr.Measure _ -> 1
-  | Instr.If_bit { body; _ } -> 1 + slots_in_list body
-  | Instr.Span { body; _ } -> slots_in_list body
-  | Instr.Call n -> (
-      match Hashtbl.find_opt node_slots_tbl n.Instr.id with
-      | Some c -> c
-      | None ->
-          let c = slots_in_list n.Instr.body in
-          Hashtbl.add node_slots_tbl n.Instr.id c;
-          c)
-
-let num_sites = sites_in_list
-
+(* Walk the program in the order of [sites], consuming [k] one site at a
+   time and advancing [pos] one slot per instruction. A [Call] whose
+   summary shows fewer than [k] remaining sites is skipped whole. *)
 let site instrs k0 =
   if k0 < 0 || k0 >= num_sites instrs then
     invalid_arg "Fault.site: index out of range";
-  (* [go] relies on the precondition [k < sites_in_list l], so the
-     list-exhausted case is unreachable. *)
-  let rec go ~pos k = function
-    | [] -> assert false
-    | i :: rest ->
-        let ns = sites_in_instr i in
-        if k < ns then in_instr ~pos k i
-        else go ~pos:(pos + slots_in_instr i) (k - ns) rest
-  and in_instr ~pos k = function
-    | Instr.Gate g -> Gate_site { pos; gate = g; qubit = List.nth (Gate.qubits g) k }
-    | Instr.Measure { qubit; bit; _ } -> Measure_site { pos; qubit; bit }
+  let exception Found of site in
+  let pos = ref 0 and k = ref k0 in
+  let rec walk l = List.iter visit l
+  and visit = function
+    | Instr.Gate g ->
+        let qs = Gate.qubits g in
+        (match List.nth_opt qs !k with
+         | Some qubit ->
+             raise (Found (Gate_site { pos = !pos; gate = g; qubit }))
+         | None -> k := !k - List.length qs);
+        incr pos
+    | Instr.Measure { qubit; bit; _ } ->
+        if !k = 0 then raise (Found (Measure_site { pos = !pos; qubit; bit }));
+        decr k;
+        incr pos
     | Instr.If_bit { bit; value; body } ->
-        if k = 0 then Branch_site { pos; bit; value }
-        else go ~pos:(pos + 1) (k - 1) body
-    | Instr.Span { body; _ } -> go ~pos k body
-    | Instr.Call n -> go ~pos k n.Instr.body
+        if !k = 0 then raise (Found (Branch_site { pos = !pos; bit; value }));
+        decr k;
+        incr pos;
+        walk body
+    | Instr.Span { body; _ } -> walk body
+    | Instr.Call n ->
+        let s = n.Instr.summary in
+        if !k < s.Instr.site_count then walk n.Instr.body
+        else begin
+          k := !k - s.Instr.site_count;
+          pos := !pos + s.Instr.instr_count
+        end
   in
-  go ~pos:0 k0 instrs
+  (* The range check above guarantees the walk finds site [k0]. *)
+  match walk instrs with () -> assert false | exception Found s -> s
 
 let sites instrs =
   let acc = ref [] in

@@ -1,3 +1,12 @@
+type summary = {
+  max_qubit : int;
+  max_bit : int;
+  instr_count : int;
+  span_count : int;
+  site_count : int;
+  unitary : bool;
+}
+
 type t =
   | Gate of Gate.t
   | Measure of { qubit : Gate.qubit; bit : int; reset : bool }
@@ -5,7 +14,7 @@ type t =
   | Span of { label : string; peak_ancillas : int; body : t list }
   | Call of node
 
-and node = { id : int; hkey : int; body : t list }
+and node = { id : int; hkey : int; body : t list; summary : summary }
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing.                                                       *)
@@ -57,6 +66,94 @@ and equal_body a b =
   | x :: xs, y :: ys -> equal_instr x y && equal_body xs ys
   | _ -> false
 
+(* ------------------------------------------------------------------ *)
+(* Fused scan: one walk computing wire/bit maxima, instruction, span   *)
+(* and fault-site totals, and unitarity, with optional gate            *)
+(* validation. A [Call] contributes its node's stored summary, so the  *)
+(* walk covers one DAG level; validation alone descends into nodes,    *)
+(* each distinct one once per call.                                    *)
+(* ------------------------------------------------------------------ *)
+
+type scan_acc = {
+  mutable mq : int;
+  mutable mb : int;
+  mutable ni : int;
+  mutable ns : int;
+  mutable nf : int;
+  mutable un : bool;
+}
+
+let rec scan_into acc = function
+  | [] -> ()
+  | Gate g :: rest ->
+      List.iter
+        (fun q ->
+          if q > acc.mq then acc.mq <- q;
+          acc.nf <- acc.nf + 1)
+        (Gate.qubits g);
+      acc.ni <- acc.ni + 1;
+      scan_into acc rest
+  | Measure { qubit; bit; _ } :: rest ->
+      if qubit > acc.mq then acc.mq <- qubit;
+      if bit > acc.mb then acc.mb <- bit;
+      acc.ni <- acc.ni + 1;
+      acc.nf <- acc.nf + 1;
+      acc.un <- false;
+      scan_into acc rest
+  | If_bit { bit; body; _ } :: rest ->
+      if bit > acc.mb then acc.mb <- bit;
+      acc.ni <- acc.ni + 1;
+      acc.nf <- acc.nf + 1;
+      acc.un <- false;
+      scan_into acc body;
+      scan_into acc rest
+  | Span { body; _ } :: rest ->
+      acc.ns <- acc.ns + 1;
+      scan_into acc body;
+      scan_into acc rest
+  | Call { summary = s; _ } :: rest ->
+      if s.max_qubit > acc.mq then acc.mq <- s.max_qubit;
+      if s.max_bit > acc.mb then acc.mb <- s.max_bit;
+      acc.ni <- acc.ni + s.instr_count;
+      acc.ns <- acc.ns + s.span_count;
+      acc.nf <- acc.nf + s.site_count;
+      acc.un <- acc.un && s.unitary;
+      scan_into acc rest
+
+let summarize instrs =
+  let acc = { mq = -1; mb = -1; ni = 0; ns = 0; nf = 0; un = true } in
+  scan_into acc instrs;
+  { max_qubit = acc.mq;
+    max_bit = acc.mb;
+    instr_count = acc.ni;
+    span_count = acc.ns;
+    site_count = acc.nf;
+    unitary = acc.un }
+
+let validate_gates instrs =
+  let seen = Hashtbl.create 64 in
+  let rec go = function
+    | [] -> ()
+    | Gate g :: rest ->
+        Gate.validate g;
+        go rest
+    | Measure _ :: rest -> go rest
+    | (If_bit { body; _ } | Span { body; _ }) :: rest ->
+        go body;
+        go rest
+    | Call n :: rest ->
+        if not (Hashtbl.mem seen n.id) then begin
+          Hashtbl.add seen n.id ();
+          go n.body
+        end;
+        go rest
+  in
+  go instrs
+
+let scan ?(validate = false) instrs =
+  if validate then validate_gates instrs;
+  summarize instrs
+
 module Body_tbl = Hashtbl.Make (struct
   type nonrec t = t list
 
@@ -85,115 +182,15 @@ let share body =
       Call n
   | None ->
       Mbu_telemetry.Telemetry.incr m_nodes_allocated;
-      let n = { id = !next_node_id; hkey = hash_body body; body } in
+      let n =
+        { id = !next_node_id; hkey = hash_body body; body;
+          summary = summarize body }
+      in
       incr next_node_id;
       Body_tbl.add intern_tbl body n;
       Call n
 
 let shared_nodes () = Body_tbl.length intern_tbl
-
-(* ------------------------------------------------------------------ *)
-(* Fused scan: one walk computing wire/bit maxima, instruction and     *)
-(* span totals, and unitarity, with optional gate validation. Per-node *)
-(* results are memoized by node id so a shared block is visited once   *)
-(* no matter how many references point at it.                          *)
-(* ------------------------------------------------------------------ *)
-
-type summary = {
-  max_qubit : int;
-  max_bit : int;
-  instr_count : int;
-  span_count : int;
-  unitary : bool;
-}
-
-type scan_acc = {
-  mutable mq : int;
-  mutable mb : int;
-  mutable ni : int;
-  mutable ns : int;
-  mutable un : bool;
-}
-
-let summary_tbl : (int, summary) Hashtbl.t = Hashtbl.create 1024
-let validated_tbl : (int, unit) Hashtbl.t = Hashtbl.create 1024
-
-let rec scan_into ~validate acc = function
-  | [] -> ()
-  | Gate g :: rest ->
-      if validate then Gate.validate g;
-      List.iter (fun q -> if q > acc.mq then acc.mq <- q) (Gate.qubits g);
-      acc.ni <- acc.ni + 1;
-      scan_into ~validate acc rest
-  | Measure { qubit; bit; _ } :: rest ->
-      if qubit > acc.mq then acc.mq <- qubit;
-      if bit > acc.mb then acc.mb <- bit;
-      acc.ni <- acc.ni + 1;
-      acc.un <- false;
-      scan_into ~validate acc rest
-  | If_bit { bit; body; _ } :: rest ->
-      if bit > acc.mb then acc.mb <- bit;
-      acc.ni <- acc.ni + 1;
-      acc.un <- false;
-      scan_into ~validate acc body;
-      scan_into ~validate acc rest
-  | Span { body; _ } :: rest ->
-      acc.ns <- acc.ns + 1;
-      scan_into ~validate acc body;
-      scan_into ~validate acc rest
-  | Call n :: rest ->
-      let s = node_summary n in
-      if validate then validate_node n;
-      if s.max_qubit > acc.mq then acc.mq <- s.max_qubit;
-      if s.max_bit > acc.mb then acc.mb <- s.max_bit;
-      acc.ni <- acc.ni + s.instr_count;
-      acc.ns <- acc.ns + s.span_count;
-      acc.un <- acc.un && s.unitary;
-      scan_into ~validate acc rest
-
-and node_summary n =
-  match Hashtbl.find_opt summary_tbl n.id with
-  | Some s -> s
-  | None ->
-      let acc = { mq = -1; mb = -1; ni = 0; ns = 0; un = true } in
-      scan_into ~validate:false acc n.body;
-      let s =
-        { max_qubit = acc.mq;
-          max_bit = acc.mb;
-          instr_count = acc.ni;
-          span_count = acc.ns;
-          unitary = acc.un }
-      in
-      Hashtbl.add summary_tbl n.id s;
-      s
-
-and validate_node n =
-  if not (Hashtbl.mem validated_tbl n.id) then begin
-    Hashtbl.add validated_tbl n.id ();
-    validate_body n.body
-  end
-
-and validate_body = function
-  | [] -> ()
-  | Gate g :: rest ->
-      Gate.validate g;
-      validate_body rest
-  | Measure _ :: rest -> validate_body rest
-  | (If_bit { body; _ } | Span { body; _ }) :: rest ->
-      validate_body body;
-      validate_body rest
-  | Call n :: rest ->
-      validate_node n;
-      validate_body rest
-
-let scan ?(validate = false) instrs =
-  let acc = { mq = -1; mb = -1; ni = 0; ns = 0; un = true } in
-  scan_into ~validate acc instrs;
-  { max_qubit = acc.mq;
-    max_bit = acc.mb;
-    instr_count = acc.ni;
-    span_count = acc.ns;
-    unitary = acc.un }
 
 let max_qubit instrs = (scan instrs).max_qubit
 let max_bit instrs = (scan instrs).max_bit
@@ -205,32 +202,29 @@ let count_spans instrs = (scan instrs).span_count
 let is_unitary instrs = (scan instrs).unitary
 
 (* ------------------------------------------------------------------ *)
-(* Adjoint. The adjoint of a shared node is itself shared, and the two *)
-(* nodes cache each other so double-adjoint returns the original node  *)
-(* physically — repeated references cost O(1) after the first.         *)
+(* Adjoint. The adjoint of a shared node is itself shared; a per-call  *)
+(* memo visits each distinct node once, and interning makes            *)
+(* double-adjoint return the original node physically.                 *)
 (* ------------------------------------------------------------------ *)
 
-let adjoint_tbl : (int, t) Hashtbl.t = Hashtbl.create 256
-
-let rec adjoint instrs = List.rev_map adj_one instrs
-
-and adj_one = function
-  | Gate g -> Gate (Gate.adjoint g)
-  | Span { label; peak_ancillas; body } ->
-      Span { label; peak_ancillas; body = adjoint body }
-  | Call n -> (
-      match Hashtbl.find_opt adjoint_tbl n.id with
-      | Some a -> a
-      | None ->
-          let a = share (adjoint n.body) in
-          Hashtbl.add adjoint_tbl n.id a;
-          (match a with
-          | Call an when not (Hashtbl.mem adjoint_tbl an.id) ->
-              Hashtbl.add adjoint_tbl an.id (Call n)
-          | _ -> ());
-          a)
-  | Measure _ | If_bit _ ->
-      invalid_arg "Instr.adjoint: circuit contains a measurement"
+let adjoint instrs =
+  let memo : (int, t) Hashtbl.t = Hashtbl.create 16 in
+  let rec adj body = List.rev_map adj_one body
+  and adj_one = function
+    | Gate g -> Gate (Gate.adjoint g)
+    | Span { label; peak_ancillas; body } ->
+        Span { label; peak_ancillas; body = adj body }
+    | Call n -> (
+        match Hashtbl.find_opt memo n.id with
+        | Some a -> a
+        | None ->
+            let a = share (adj n.body) in
+            Hashtbl.add memo n.id a;
+            a)
+    | Measure _ | If_bit _ ->
+        invalid_arg "Instr.adjoint: circuit contains a measurement"
+  in
+  adj instrs
 
 let rec iter_gates f = function
   | [] -> ()

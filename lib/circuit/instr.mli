@@ -11,7 +11,21 @@
     many times (the per-bit controlled modular adders of [Mod_mul], QROM
     one-hot ladders, pebbling rounds, MCX conjunction ladders) is built and
     analysed once. Every consumer treats [Call n] exactly as the inline
-    expansion of [n.body]; metric passes memoize per distinct node. *)
+    expansion of [n.body]. Each node carries its {!summary}, computed once
+    when it is interned, so [scan] and the fault-site walks read a [Call]
+    in O(1); heavier metric passes memoize per distinct node within one
+    call. *)
+
+type summary = {
+  max_qubit : int;  (** largest wire index touched, or [-1] *)
+  max_bit : int;  (** largest classical bit index used, or [-1] *)
+  instr_count : int;  (** expanded instruction count (spans weightless) *)
+  span_count : int;  (** expanded number of [Span] nodes *)
+  site_count : int;
+      (** expanded number of fault sites: one per gate wire, per
+          [Measure] and per [If_bit] (see {!Fault}) *)
+  unitary : bool;  (** no [Measure]/[If_bit] anywhere *)
+}
 
 type t =
   | Gate of Gate.t
@@ -36,11 +50,13 @@ type t =
           splicing [node.body] in place. Obtain one with {!share}; never
           construct a node by hand. *)
 
-and node = private { id : int; hkey : int; body : t list }
+and node = private { id : int; hkey : int; body : t list; summary : summary }
 (** An interned block. [id] is a process-unique identifier (memo key for
     metric passes), [hkey] the structural hash under which the body was
-    interned. Structurally equal bodies always yield the physically same
-    node. *)
+    interned, [summary] the {!scan} of [body], computed from the node's own
+    level and its children's summaries when the node is allocated (gates
+    are not re-validated there: {!Builder} already checked them).
+    Structurally equal bodies always yield the physically same node. *)
 
 val share : t list -> t
 (** [share body] interns [body] and returns a [Call] reference to its
@@ -53,26 +69,22 @@ val expand_calls : t list -> t list
     representation in tests and benchmarks. *)
 
 val shared_nodes : unit -> int
-(** Number of distinct interned nodes in the process-wide table. *)
-
-type summary = {
-  max_qubit : int;  (** largest wire index touched, or [-1] *)
-  max_bit : int;  (** largest classical bit index used, or [-1] *)
-  instr_count : int;  (** expanded instruction count (spans weightless) *)
-  span_count : int;  (** expanded number of [Span] nodes *)
-  unitary : bool;  (** no [Measure]/[If_bit] anywhere *)
-}
+(** Number of distinct interned nodes in the process-wide table. The table
+    is shared by every circuit the process builds (constant-independent
+    blocks are interned once per width), so this is a property of the
+    process, not of one circuit. *)
 
 val scan : ?validate:bool -> t list -> summary
-(** One fused traversal computing the whole {!summary}; when [validate] is
-    set, every gate is checked with [Gate.validate] in the same pass. Work
-    inside shared nodes is memoized by node id (validation included), so a
-    block referenced [k] times is visited once, not [k] times. *)
+(** One fused traversal computing the whole {!summary}. A [Call] contributes
+    its node's stored summary, so the walk costs O(top level). When
+    [validate] is set, every gate is also checked with [Gate.validate],
+    descending into each distinct shared node once per call. *)
 
 val adjoint : t list -> t list
 (** Adjoint of a measurement-free instruction sequence. Spans are preserved
     (same label, adjointed body); the adjoint of a shared block is itself
-    shared, and memoized so that double-adjoint returns the original node.
+    shared, each distinct node is adjointed once per call, and interning
+    makes double-adjoint return the original node.
     Raises [Invalid_argument] if the sequence contains [Measure] or [If_bit]
     (remark 2.23: circuits involving a measurement are generally not
     invertible). *)

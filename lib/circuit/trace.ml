@@ -255,21 +255,6 @@ let render ?(merge = true) ?max_depth root =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jnum v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
@@ -294,9 +279,9 @@ let to_json ?(counters = []) root =
           \"toffoli\":%s,\"cnot_cz\":%s,\"x\":%s,\"measure\":%s,\
           \"flat_toffoli\":%s,\"flat_cnot_cz\":%s,\
           \"peak_ancillas\":%d,\"toffoli_depth\":%s,\"total_depth\":%s}}"
-         (json_escape e.label)
+         (Mbu_telemetry.Telemetry.json_escape e.label)
          (jnum e.start) (jnum e.dur)
-         (json_escape (String.concat "/" e.path))
+         (Mbu_telemetry.Telemetry.json_escape (String.concat "/" e.path))
          (jnum e.cum.Counts.toffoli)
          (jnum (Counts.cnot_cz e.cum))
          (jnum e.cum.Counts.x)
@@ -317,7 +302,7 @@ let to_json ?(counters = []) root =
         (Printf.sprintf
            "\n{\"name\":\"%s\",\"cat\":\"telemetry\",\"ph\":\"C\",\"pid\":1,\
             \"tid\":1,\"ts\":%s,\"args\":{\"value\":%s}}"
-           (json_escape name) ts (jnum v)))
+           (Mbu_telemetry.Telemetry.json_escape name) ts (jnum v)))
     counters;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

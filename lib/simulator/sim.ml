@@ -386,12 +386,6 @@ let run_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ?force ?faults
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
   in
-  (* Position tracking (active only with a fault plan) reads Instr's
-     per-node memo tables; populate them here, on one thread, so the
-     parallel shots below only ever hit the tables read-only. *)
-  (match faults with
-  | Some (_ :: _) -> ignore (Instr.count_instrs c.Circuit.instrs)
-  | Some [] | None -> ());
   let collect = Option.is_some stats in
   let shot i =
     let rng = shot_rng ~seed i in

@@ -245,9 +245,10 @@ let rule_for key =
   else if leaf = "gates" then { dir = Higher_worse; tol = 0.; abs_floor = 0. }
   else if leaf = "live_words" then
     { dir = Higher_worse; tol = 1.0; abs_floor = 0. }
-  else if leaf = "shared_nodes" then
-    { dir = Lower_worse; tol = 0.; abs_floor = 0. }
-  else if leaf = "sites" || leaf = "runs" || leaf = "lint_clean" then
+  else if
+    leaf = "shared_nodes" || leaf = "sites" || leaf = "runs"
+    || leaf = "lint_clean"
+  then
     { dir = Exact; tol = 0.; abs_floor = 0. }
   else info_rule
 

@@ -44,8 +44,9 @@ type rule = { dir : direction; tol : float; abs_floor : float }
 val rule_for : string -> rule
 (** Policy keyed on the final path segment: [_ms] latencies gate
     higher-is-worse with a wide band and a 25 ms absolute floor,
-    [_per_sec]/speedups gate lower-is-worse, fault classifications and
-    gate counts gate exactly, everything else is informational. *)
+    [_per_sec]/speedups gate lower-is-worse, fault classifications,
+    gate counts and shared-node counts gate exactly, everything else is
+    informational. *)
 
 (** {1 Comparison} *)
 

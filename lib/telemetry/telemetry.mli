@@ -100,6 +100,10 @@ val to_json : unit -> string
 (** The same snapshot as a self-contained JSON document
     [{"metrics": [...]}]. *)
 
+val json_escape : string -> string
+(** Escape a string for use inside a JSON string literal: double quotes,
+    backslashes and every control character below U+0020. *)
+
 val counters_alist : unit -> (string * float) list
 (** Flattened [(name, value)] view of the snapshot — counters as
     [name_total], gauges as [name] and [name_highwater], histograms as

@@ -167,7 +167,8 @@ let test_interning_canonical () =
   | _ -> Alcotest.fail "share did not return Call"
 
 (* adjoint maps shared blocks to shared blocks, and double adjoint returns
-   the original node (the adjoint pair is memoized both ways). *)
+   the original node: [Gate.adjoint] is an involution, so the twice-adjointed
+   body is structurally the original and interning yields the same node. *)
 let test_adjoint_roundtrip () =
   let body =
     [ Instr.Gate (Gate.H 0); Instr.Gate (Gate.Cnot { control = 0; target = 1 });
@@ -276,6 +277,42 @@ let test_shared_anonymous () =
   Alcotest.(check int) "empty shared emits nothing" 0
     (List.length (Builder.to_circuit b3).Circuit.instrs)
 
+(* Each node's stored summary is the scan of its expanded body, and its
+   site count is the length of the expanded site enumeration. *)
+let test_node_summaries () =
+  let seen = Hashtbl.create 64 in
+  let rec check = function
+    | Instr.Call n ->
+        if not (Hashtbl.mem seen n.Instr.id) then begin
+          Hashtbl.add seen n.Instr.id ();
+          let tree = Instr.expand_calls n.Instr.body in
+          let msg = Printf.sprintf "node #%d" n.Instr.id in
+          Alcotest.(check bool) (msg ^ " summary") true
+            (n.Instr.summary = Instr.scan tree);
+          Alcotest.(check int) (msg ^ " site_count")
+            (List.length (Fault.sites tree)) n.Instr.summary.Instr.site_count;
+          List.iter check n.Instr.body
+        end
+    | Instr.If_bit { body; _ } | Instr.Span { body; _ } -> List.iter check body
+    | Instr.Gate _ | Instr.Measure _ -> ()
+  in
+  let n = 5 in
+  let p = modulus n in
+  List.iter
+    (fun e ->
+      let spec = e.Mbu_robustness.Catalogue.make ~n ~p in
+      List.iter check spec.Mbu_robustness.Engine.circuit.Circuit.instrs)
+    Mbu_robustness.Catalogue.all;
+  List.iter check (List.assoc "mod_mul" (circuits ())).Circuit.instrs;
+  Alcotest.(check bool) "some nodes checked" true (Hashtbl.length seen > 0);
+  (* Summaries skip validation, but a validating Circuit.make still
+     descends into shared nodes. *)
+  Alcotest.check_raises "invalid gate in a shared node"
+    (Invalid_argument "Gate: repeated wire") (fun () ->
+      ignore
+        (Circuit.make
+           [ Instr.share [ Instr.Gate (Gate.Cnot { control = 3; target = 3 }) ] ]))
+
 let suite =
   ( "dag",
     [ Alcotest.test_case "metrics match expanded tree" `Quick
@@ -293,4 +330,6 @@ let suite =
       Alcotest.test_case "repeat references one node" `Quick
         test_repeat_semantics;
       Alcotest.test_case "anonymous shared is invisible" `Quick
-        test_shared_anonymous ] )
+        test_shared_anonymous;
+      Alcotest.test_case "node summaries match expanded body" `Quick
+        test_node_summaries ] )

@@ -302,6 +302,44 @@ let test_compare_timing_floor () =
   Alcotest.(check int) "10000x past the floor regresses" 1
     (regressions ~current:slow)
 
+let test_compare_shared_nodes_exact () =
+  (* Node counts are deterministic: growth and shrinkage both regress. *)
+  let doc k = Printf.sprintf {|{"rows": [{"row": "a", "shared_nodes": %d}]}|} k in
+  let regressions ~current =
+    match
+      Bench_compare.compare_strings ~baseline:(doc 17) ~current:(doc current)
+    with
+    | Error e -> Alcotest.failf "parse error: %s" e
+    | Ok r -> List.length r.Bench_compare.regressions
+  in
+  Alcotest.(check int) "unchanged passes" 0 (regressions ~current:17);
+  Alcotest.(check int) "fewer nodes regresses" 1 (regressions ~current:0);
+  Alcotest.(check int) "more nodes regresses" 1 (regressions ~current:34)
+
+let test_trace_json_escapes_labels () =
+  let label = "q\"b\\t\tc\001" in
+  let instrs =
+    [ Instr.Span
+        { label; peak_ancillas = 0;
+          body = [ Instr.Gate (Gate.Cnot { control = 0; target = 1 }) ] } ]
+  in
+  let json = Trace.to_json (Trace.profile instrs) in
+  match Bench_compare.parse json with
+  | exception Bench_compare.Parse_error e -> Alcotest.failf "invalid JSON: %s" e
+  | doc ->
+      let names =
+        match Bench_compare.member "traceEvents" doc with
+        | Some (Bench_compare.Arr evs) ->
+            List.filter_map
+              (fun e ->
+                match Bench_compare.member "name" e with
+                | Some (Bench_compare.Str s) -> Some s
+                | _ -> None)
+              evs
+        | _ -> []
+      in
+      Alcotest.(check bool) "label round-trips" true (List.mem label names)
+
 let test_flatten_row_keys () =
   let doc =
     {|{"rows": [{"row": "mod_mul", "n": 16, "build_ms": 1.0},
@@ -332,4 +370,8 @@ let suite =
         test_compare_missing_metric_is_regression;
       Alcotest.test_case "compare: timing noise floor" `Quick
         test_compare_timing_floor;
-      Alcotest.test_case "flatten: row@n keys" `Quick test_flatten_row_keys ] )
+      Alcotest.test_case "flatten: row@n keys" `Quick test_flatten_row_keys;
+      Alcotest.test_case "compare: shared_nodes gates exactly" `Quick
+        test_compare_shared_nodes_exact;
+      Alcotest.test_case "trace json escapes labels" `Quick
+        test_trace_json_escapes_labels ] )
