@@ -668,6 +668,30 @@ let experiment_ablations () =
       ("via register load", Mod_add.modadd_const_via_load ~mbu:true Mod_add.spec_cdkpm) ]
 
 (* ------------------------------------------------------------------ *)
+(* BENCH_*.json documents *)
+
+module Json = Mbu_telemetry.Json
+
+(* [v] rounded to [d] decimals, the precision each field has always had. *)
+let fixed d v = Json.Num (float_of_string (Printf.sprintf "%.*f" d v))
+
+(* A bench document: its workload, the environment it ran in, then the
+   experiment's own fields. *)
+let bench_doc workload fields =
+  let open Mbu_simulator in
+  let env =
+    [ ("ocaml_version", Json.Str Sys.ocaml_version);
+      ("parallel_backend", Json.Str Sim.parallel_backend);
+      ("default_jobs", Json.int (Sim.default_jobs ())) ]
+  in
+  Json.Obj (("workload", Json.Str workload) :: ("env", Json.Obj env) :: fields)
+
+let write_json path doc =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string doc));
+  fpf "  (written to %s)@." path
+
+(* ------------------------------------------------------------------ *)
 (* E-SIM: simulator backend micro-benchmark (shots/sec, seed vs this PR) *)
 
 (* Shots/sec for one (engine, jobs) configuration on a prepared circuit. *)
@@ -680,11 +704,11 @@ let shots_per_sec ?(engine = Mbu_simulator.Sim.Fast) ~jobs ~shots c ~init () =
   let dt = Unix.gettimeofday () -. t0 in
   float_of_int shots /. Float.max dt 1e-9
 
-let experiment_sim_bench ~out () =
+let experiment_sim_bench () =
   let open Mbu_simulator in
   header "E-SIM: simulator backends, Table-1 Monte-Carlo workload (shots/sec)";
   let shots = 1000 in
-  let jobs = max 4 (Sim.default_jobs ()) in
+  let jobs = Sim.default_jobs () in
   fpf "  %d shots/config, parallel backend = %s, jobs = %d@." shots
     Sim.parallel_backend jobs;
   fpf "  %-15s | %3s | %12s | %12s | %12s | %8s@." "row" "n" "seed (ref)"
@@ -729,31 +753,21 @@ let experiment_sim_bench ~out () =
         let best = Float.max fast_seq fast_par in
         fpf "  %-15s | %3d | %12.0f | %12.0f | %12.0f | %7.1fx@." name n
           reference fast_seq fast_par (best /. reference);
-        (name, n, reference, fast_seq, fast_par))
+        Json.Obj
+          [ ("row", Json.Str name); ("n", Json.int n);
+            ("seed_shots_per_sec", fixed 1 reference);
+            ("fast_seq_shots_per_sec", fixed 1 fast_seq);
+            ("fast_par_shots_per_sec", fixed 1 fast_par);
+            ("speedup", fixed 2 (best /. reference)) ])
       sim_rows
   in
-  (* machine-readable output for the CI artifact and the README table *)
-  let oc = open_out out in
-  Printf.fprintf oc "{\n  \"workload\": \"table1-modadd-montecarlo\",\n";
-  Printf.fprintf oc "  \"shots\": %d,\n" shots;
-  Printf.fprintf oc "  \"parallel_backend\": %S,\n  \"jobs\": %d,\n"
-    Sim.parallel_backend jobs;
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i (name, n, reference, fast_seq, fast_par) ->
-      Printf.fprintf oc
-        "    {\"row\": \"%s\", \"n\": %d, \"seed_shots_per_sec\": %.1f, \
-         \"fast_seq_shots_per_sec\": %.1f, \"fast_par_shots_per_sec\": %.1f, \
-         \"speedup\": %.2f}%s\n"
-        (Mbu_telemetry.Telemetry.json_escape name)
-        n reference fast_seq fast_par
-        (Float.max fast_seq fast_par /. reference)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
   fpf "  (seed = rebuild-per-gate Reference engine; fast = classical track@.";
-  fpf "   + in-place sparse kernel; written to %s)@." out
+  fpf "   + in-place sparse kernel)@.";
+  (* machine-readable output for the CI artifact and the README table *)
+  bench_doc "table1-modadd-montecarlo"
+    [ ("shots", Json.int shots);
+      ("parallel_backend", Json.Str Sim.parallel_backend);
+      ("jobs", Json.int jobs); ("rows", Json.Arr rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* E-BUILD: DAG IR build + memoized metric wall-clock *)
@@ -792,7 +806,7 @@ let reachable_nodes instrs =
   List.iter walk instrs;
   Hashtbl.length seen
 
-let experiment_build_bench ~out () =
+let experiment_build_bench () =
   header
     "E-BUILD: hash-consed DAG build + memoized counts/profile (wall-clock)";
   fpf "  tree = pre-PR representation (Instr.expand_calls, every shared@.";
@@ -830,7 +844,7 @@ let experiment_build_bench ~out () =
      %9s | %8s@."
     "row" "n" "build ms" "live Mw" "nodes" "count/dag" "count/tre" "speedup"
     "prof/dag" "prof/tre" "speedup" "pre-PR ms" "speedup";
-  let results =
+  let rows =
     List.map
       (fun (name, n, build) ->
         Gc.full_major ();
@@ -874,45 +888,38 @@ let experiment_build_bench ~out () =
           (float_of_int live_words /. 1e6)
           shared counts_dag_ms counts_tree_ms c_speed profile_dag_ms
           profile_tree_ms p_speed profile_pre_pr_ms pre_speed;
-        ( name, n, build_ms, live_words, gates, shared, counts_dag_ms,
-          counts_tree_ms, profile_dag_ms, profile_tree_ms, profile_pre_pr_ms ))
+        Json.Obj
+          [ ("row", Json.Str name); ("n", Json.int n);
+            ("build_ms", fixed 3 build_ms); ("live_words", Json.int live_words);
+            ("gates", fixed 0 gates); ("shared_nodes", Json.int shared);
+            ("counts_dag_ms", fixed 4 counts_dag_ms);
+            ("counts_tree_ms", fixed 4 counts_tree_ms);
+            ("counts_speedup", fixed 2 c_speed);
+            ("profile_dag_ms", fixed 4 profile_dag_ms);
+            ("profile_tree_ms", fixed 4 profile_tree_ms);
+            ("profile_speedup_same_methodology", fixed 2 p_speed);
+            ("profile_pre_pr_ms", fixed 4 profile_pre_pr_ms);
+            ("profile_speedup_vs_pre_pr", fixed 1 pre_speed);
+            ("metrics_speedup_vs_pre_pr",
+             fixed 1 ((counts_tree_ms +. profile_pre_pr_ms)
+                      /. Float.max (counts_dag_ms +. profile_dag_ms) 1e-9)) ])
       rows_spec
   in
-  let oc = open_out out in
-  Printf.fprintf oc "{\n  \"workload\": \"table1+modmul-dag-build\",\n";
-  Printf.fprintf oc "  \"profile_span_depth\": false,\n";
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i
-         ( name, n, build_ms, live_words, gates, shared, counts_dag_ms,
-           counts_tree_ms, profile_dag_ms, profile_tree_ms, profile_pre_pr_ms ) ->
-      Printf.fprintf oc
-        "    {\"row\": \"%s\", \"n\": %d, \"build_ms\": %.3f, \
-         \"live_words\": %d, \"gates\": %.0f, \"shared_nodes\": %d, \
-         \"counts_dag_ms\": %.4f, \"counts_tree_ms\": %.4f, \
-         \"counts_speedup\": %.2f, \"profile_dag_ms\": %.4f, \
-         \"profile_tree_ms\": %.4f, \"profile_speedup_same_methodology\": \
-         %.2f, \"profile_pre_pr_ms\": %.4f, \"profile_speedup_vs_pre_pr\": \
-         %.1f, \"metrics_speedup_vs_pre_pr\": %.1f}%s\n"
-        (Mbu_telemetry.Telemetry.json_escape name)
-        n build_ms live_words gates shared counts_dag_ms counts_tree_ms
-        (counts_tree_ms /. Float.max counts_dag_ms 1e-9)
-        profile_dag_ms profile_tree_ms
-        (profile_tree_ms /. Float.max profile_dag_ms 1e-9)
-        profile_pre_pr_ms
-        (profile_pre_pr_ms /. Float.max profile_dag_ms 1e-9)
-        ((counts_tree_ms +. profile_pre_pr_ms)
-        /. Float.max (counts_dag_ms +. profile_dag_ms) 1e-9)
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  fpf "  (written to %s)@." out
+  bench_doc "table1+modmul-dag-build"
+    [ ("profile_span_depth", Json.Bool false); ("rows", Json.Arr rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* E-FAULT: fault-injection campaigns, forced branches, invariant lint *)
 
-let experiment_faults ~out () =
+(* The classification counts of one campaign. *)
+let campaign_fields r =
+  let open Mbu_robustness in
+  [ ("sites", Json.int r.Engine.sites); ("runs", Json.int r.Engine.runs);
+    ("correct", Json.int r.Engine.correct);
+    ("detected", Json.int r.Engine.detected);
+    ("silent", Json.int r.Engine.silent) ]
+
+let experiment_faults () =
   let open Mbu_robustness in
   header "E-FAULT: fault injection / forced branches / invariant linting";
   let n = 5 in
@@ -959,7 +966,10 @@ let experiment_faults ~out () =
           r.Engine.correct r.Engine.detected r.Engine.silent
           (Engine.detection_rate r)
           (100. *. Engine.silent_rate r);
-        (e, r))
+        Json.Obj
+          ((("family", Json.Str e.Catalogue.title) :: campaign_fields r)
+          @ [ ("detection_rate", fixed 4 (Engine.detection_rate r));
+              ("silent_rate", fixed 4 (Engine.silent_rate r)) ]))
       Catalogue.all
   in
   (* Acceptance probe: every single-X fault site of a VBE modular adder —
@@ -975,33 +985,14 @@ let experiment_faults ~out () =
        (%d correct / %d detected / %d silent)@."
     vbe.Catalogue.title rx.Engine.runs rx.Engine.sites rx.Engine.correct
     rx.Engine.detected rx.Engine.silent;
-  let oc = open_out out in
-  Printf.fprintf oc "{\n  \"workload\": \"catalogue-fault-campaigns\",\n";
-  Printf.fprintf oc "  \"n\": %d,\n  \"p\": %d,\n  \"runs_per_family\": %d,\n"
-    n p runs;
-  Printf.fprintf oc "  \"seed\": %d,\n  \"lint_clean\": true,\n" seed;
-  Printf.fprintf oc
-    "  \"exhaustive_x_vbe\": {\"sites\": %d, \"runs\": %d, \"correct\": %d, \
-     \"detected\": %d, \"silent\": %d},\n"
-    rx.Engine.sites rx.Engine.runs rx.Engine.correct rx.Engine.detected
-    rx.Engine.silent;
-  Printf.fprintf oc "  \"families\": [\n";
-  List.iteri
-    (fun i (e, r) ->
-      Printf.fprintf oc
-        "    {\"family\": \"%s\", \"sites\": %d, \"runs\": %d, \"correct\": \
-         %d, \"detected\": %d, \"silent\": %d, \"detection_rate\": %.4f, \
-         \"silent_rate\": %.4f}%s\n"
-        (Mbu_telemetry.Telemetry.json_escape e.Catalogue.title)
-        r.Engine.sites r.Engine.runs r.Engine.correct r.Engine.detected
-        r.Engine.silent (Engine.detection_rate r) (Engine.silent_rate r)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
   fpf "  (correct = fault absorbed; detected = clean error, dirty ancilla \
        or detector;@.";
-  fpf "   silent = wrong output with nothing noticed; written to %s)@." out
+  fpf "   silent = wrong output with nothing noticed)@.";
+  bench_doc "catalogue-fault-campaigns"
+    [ ("n", Json.int n); ("p", Json.int p); ("runs_per_family", Json.int runs);
+      ("seed", Json.int seed); ("lint_clean", Json.Bool true);
+      ("exhaustive_x_vbe", Json.Obj (campaign_fields rx));
+      ("families", Json.Arr rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel wall-clock benchmarks *)
@@ -1162,9 +1153,10 @@ let phase_times : (string * float) list ref = ref []
 
 let timed name f =
   let t0 = Unix.gettimeofday () in
-  f ();
+  let v = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  phase_times := (name, dt) :: !phase_times
+  phase_times := (name, dt) :: !phase_times;
+  v
 
 let report_phase_times () =
   header "Per-phase wall-clock time";
@@ -1181,18 +1173,14 @@ let report_phase_times () =
 (* Bench-regression gate: `--compare BASELINE.json` (repeatable).
 
    Each baseline's "workload" field selects the experiment that
-   regenerates it; the experiment writes its fresh document to a temporary
-   file, which is diffed against the baseline with Bench_compare's
-   per-metric thresholds and then deleted, so the committed baselines stay
-   untouched. Any regression turns into a non-zero exit. *)
+   regenerates it; the fresh document is diffed against the baseline with
+   Bench_compare's per-metric thresholds and never written, so the
+   committed baselines stay untouched. Any regression turns into a
+   non-zero exit. *)
 
 module BC = Mbu_telemetry.Bench_compare
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let compare_paths () =
   let acc = ref [] in
@@ -1213,7 +1201,7 @@ let run_compare paths =
   let failed = ref false in
   List.iter
     (fun path ->
-      match BC.parse_result (read_file path) with
+      match Json.parse (read_file path) with
       | exception Sys_error e ->
           fpf "  cannot read baseline %s: %s@." path e;
           failed := true
@@ -1227,14 +1215,7 @@ let run_compare paths =
               failed := true
           | Some (name, experiment) ->
               header (Printf.sprintf "Regression gate: %s (%s)" path name);
-              let fresh_path = Filename.temp_file "bench_" ".json" in
-              let current =
-                Fun.protect
-                  ~finally:(fun () -> Sys.remove fresh_path)
-                  (fun () ->
-                    timed name (experiment ~out:fresh_path);
-                    BC.parse (read_file fresh_path))
-              in
+              let current = timed name experiment in
               let report = BC.compare_json ~baseline ~current in
               fpf "@.";
               print_string (BC.render report);
@@ -1263,24 +1244,24 @@ let () =
       report_phase_times ();
       fpf "@.done.@.";
       exit 0);
-  if Array.exists (String.equal "--build-only") Sys.argv then begin
-    timed "build_bench" (experiment_build_bench ~out:"BENCH_build.json");
-    report_phase_times ();
-    fpf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (String.equal "--sim-only") Sys.argv then begin
-    timed "sim_bench" (experiment_sim_bench ~out:"BENCH_sim.json");
-    report_phase_times ();
-    fpf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (String.equal "--faults-only") Sys.argv then begin
-    timed "faults" (experiment_faults ~out:"BENCH_faults.json");
-    report_phase_times ();
-    fpf "@.done.@.";
-    exit 0
-  end;
+  (* Each BENCH experiment runs as a timed phase and writes its document. *)
+  let bench_phases =
+    [ ("--build-only", "build_bench", experiment_build_bench, "BENCH_build.json");
+      ("--sim-only", "sim_bench", experiment_sim_bench, "BENCH_sim.json");
+      ("--faults-only", "faults", experiment_faults, "BENCH_faults.json") ]
+  in
+  let bench_phase (_, name, experiment, path) =
+    timed name (fun () -> write_json path (experiment ()))
+  in
+  List.iter
+    (fun ((flag, _, _, _) as phase) ->
+      if Array.exists (String.equal flag) Sys.argv then begin
+        bench_phase phase;
+        report_phase_times ();
+        fpf "@.done.@.";
+        exit 0
+      end)
+    bench_phases;
   timed "table1" table1;
   timed "table1_big" table1_big;
   timed "table2" table2;
@@ -1300,9 +1281,7 @@ let () =
   timed "depth" experiment_depth;
   timed "ft" experiment_ft;
   timed "ablations" experiment_ablations;
-  timed "build_bench" (experiment_build_bench ~out:"BENCH_build.json");
-  timed "sim_bench" (experiment_sim_bench ~out:"BENCH_sim.json");
-  timed "faults" (experiment_faults ~out:"BENCH_faults.json");
+  List.iter bench_phase bench_phases;
   timed "bechamel" run_bechamel;
   report_phase_times ();
   fpf "@.done.@."

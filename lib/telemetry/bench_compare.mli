@@ -2,29 +2,11 @@
     baseline with per-metric directional thresholds, render a delta table,
     and report regressions for the CLI to turn into a non-zero exit. *)
 
-(** {1 Minimal JSON} *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-val parse : string -> json
-(** Raises {!Parse_error} on malformed input. *)
-
-val parse_result : string -> (json, string) result
-val member : string -> json -> json option
-
-val workload : json -> string option
+val workload : Json.t -> string option
 (** The top-level ["workload"] string, used to pair a result file with
     the experiment that regenerates it. *)
 
-val flatten : json -> (string * float) list
+val flatten : Json.t -> (string * float) list
 (** Dotted-path numeric view of a bench document. Array elements carrying
     a ["row"]/["family"] field are keyed by that label (plus ["@<n>"]
     when an ["n"] field disambiguates repeats), so rows compare by
@@ -68,8 +50,7 @@ type report = {
           a gated baseline metric vanished from the current run. *)
 }
 
-val compare_json : baseline:json -> current:json -> report
-val compare_strings : baseline:string -> current:string -> (report, string) result
+val compare_json : baseline:Json.t -> current:Json.t -> report
 
 val render : ?show_info:bool -> report -> string
 (** Human-readable delta table plus a one-line verdict. Informational

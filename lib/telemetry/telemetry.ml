@@ -231,11 +231,16 @@ let reset () =
 (* ------------------------------------------------------------------ *)
 (* Exposition *)
 
+(* OpenMetrics spells non-finite values +Inf, -Inf and NaN. *)
+let fmt_g v =
+  if Float.is_nan v then "NaN"
+  else if Float.is_finite v then Printf.sprintf "%g" v
+  else if v > 0. then "+Inf"
+  else "-Inf"
+
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
-let fmt_le le = if le = Float.infinity then "+Inf" else Printf.sprintf "%g" le
+  else fmt_g v
 
 (* OpenMetrics text format. Counters expose [name_total] under a [# TYPE
    name counter] family; a gauge's high-water mark is a second gauge family
@@ -262,7 +267,7 @@ let to_openmetrics () =
           Array.iter
             (fun (le, cum) ->
               Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name (fmt_le le) cum))
+                (Printf.sprintf "%s_bucket{le=%S} %d\n" name (fmt_g le) cum))
             buckets;
           Buffer.add_string buf
             (Printf.sprintf "%s_sum %s\n" name (fmt_float sum));
@@ -271,58 +276,29 @@ let to_openmetrics () =
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"metrics\": [\n";
-  let samples = snapshot () in
-  List.iteri
-    (fun i s ->
-      let sep = if i = List.length samples - 1 then "" else "," in
-      (match s with
-      | Counter_sample { name; help; value } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"name\": \"%s\", \"kind\": \"counter\", \"help\": \
-                \"%s\", \"value\": %d}"
-               (json_escape name) (json_escape help) value)
-      | Gauge_sample { name; help; value; highwater } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"name\": \"%s\", \"kind\": \"gauge\", \"help\": \"%s\", \
-                \"value\": %d, \"highwater\": %d}"
-               (json_escape name) (json_escape help) value highwater)
-      | Histogram_sample { name; help; count; sum; buckets } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"name\": \"%s\", \"kind\": \"histogram\", \"help\": \
-                \"%s\", \"count\": %d, \"sum\": %s, \"buckets\": ["
-               (json_escape name) (json_escape help) count (fmt_float sum));
-          Array.iteri
-            (fun j (le, cum) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s{\"le\": \"%s\", \"count\": %d}"
-                   (if j = 0 then "" else ", ")
-                   (fmt_le le) cum))
-            buckets;
-          Buffer.add_string buf "]}");
-      Buffer.add_string buf (sep ^ "\n"))
-    samples;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let entry name kind help fields =
+    Json.Obj
+      ([ ("name", Json.Str name); ("kind", Json.Str kind);
+         ("help", Json.Str help) ]
+      @ fields)
+  in
+  let metric = function
+    | Counter_sample { name; help; value } ->
+        entry name "counter" help [ ("value", Json.int value) ]
+    | Gauge_sample { name; help; value; highwater } ->
+        entry name "gauge" help
+          [ ("value", Json.int value); ("highwater", Json.int highwater) ]
+    | Histogram_sample { name; help; count; sum; buckets } ->
+        let bucket (le, cum) =
+          Json.Obj [ ("le", Json.Str (fmt_g le)); ("count", Json.int cum) ]
+        in
+        entry name "histogram" help
+          [ ("count", Json.int count); ("sum", Json.Num sum);
+            ("buckets", Json.Arr (Array.to_list (Array.map bucket buckets))) ]
+  in
+  Json.to_string
+    (Json.Obj [ ("metrics", Json.Arr (List.map metric (snapshot ()))) ])
 
 (* Flat (name, value) pairs — the shape Chrome trace counter events and
    quick assertions want. *)

@@ -92,17 +92,14 @@ val reset : unit -> unit
 
 val to_openmetrics : unit -> string
 (** OpenMetrics text exposition: counters as [name_total], histograms as
-    cumulative [name_bucket{le="..."}] plus [name_sum]/[name_count],
+    cumulative [name_bucket{le="..."}] plus [name_sum]/[name_count]
+    (non-finite values spelled [+Inf], [-Inf], [NaN]),
     gauges as [name] plus a separate [name_highwater] gauge family;
     terminated by [# EOF]. *)
 
 val to_json : unit -> string
 (** The same snapshot as a self-contained JSON document
-    [{"metrics": [...]}]. *)
-
-val json_escape : string -> string
-(** Escape a string for use inside a JSON string literal: double quotes,
-    backslashes and every control character below U+0020. *)
+    [{"metrics": [...]}], printed by {!Json.to_string}. *)
 
 val counters_alist : unit -> (string * float) list
 (** Flattened [(name, value)] view of the snapshot — counters as

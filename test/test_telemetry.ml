@@ -1,6 +1,6 @@
 (* Telemetry-layer tests: jobs-independence of the merged per-domain
    counters, histogram bucket conservation, OpenMetrics round-tripping,
-   and the bench-regression comparator.
+   the JSON printer and parser, and the bench-regression comparator.
 
    The registry is process-global; alcotest runs suites sequentially, so
    each test resets it and owns it for the test's duration. *)
@@ -211,7 +211,88 @@ let test_registry_kind_mismatch () =
     (fun () -> ignore (Telemetry.gauge "test_reg_dup"))
 
 (* ------------------------------------------------------------------ *)
+(* JSON *)
+
+let parse_ok doc =
+  match Json.parse doc with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "invalid JSON: %s" e
+
+(* Strings stress the escaper: quotes, backslashes, control bytes below
+   0x20 and raw bytes >= 0x80. Floats are finite and cover negatives,
+   subnormals, magnitudes >= 1e15, integral and fractional values. *)
+let gen_json =
+  let open QCheck.Gen in
+  let char =
+    frequency
+      [ (3, printable);
+        (1, oneofl [ '"'; '\\'; '/' ]);
+        (1, map Char.chr (int_bound 0x1f));
+        (1, map Char.chr (int_range 0x80 0xff)) ]
+  in
+  let str = string_size ~gen:char (int_bound 10) in
+  let num =
+    oneof
+      [ map float_of_int small_signed_int;
+        float_range (-1e6) 1e6;
+        map
+          (fun m -> Float.ldexp (float_of_int m) (-1074))
+          (int_range (-999) 999);
+        map2 (fun m e -> m *. (10. ** float_of_int e))
+          (float_range (-9.99) 9.99) (int_range 15 300);
+        map (fun k -> 1e15 +. float_of_int k) (int_bound 1_000_000);
+        map Int64.float_of_bits ui64 >>= fun f ->
+        if Float.is_finite f then return f else return 0.5 ]
+  in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) num; map (fun s -> Json.Str s) str ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               (1, map (fun l -> Json.Arr l)
+                     (list_size (int_bound 4) (self (n - 1))));
+               (1, map (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair str (self (n - 1))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let test_json_non_finite () =
+  (* %g spells infinity "inf", which no JSON reader accepts; the printer
+     writes null and OpenMetrics spells it +Inf. *)
+  Telemetry.reset ();
+  let h = Telemetry.histogram "test_json_inf" in
+  Telemetry.observe h Float.infinity;
+  ignore (parse_ok (Telemetry.to_json ()));
+  let instrs =
+    [ Instr.Span
+        { label = "s"; peak_ancillas = 0;
+          body = [ Instr.Gate (Gate.Cnot { control = 0; target = 1 }) ] } ]
+  in
+  ignore
+    (parse_ok
+       (Trace.to_json ~counters:(Telemetry.counters_alist ())
+          (Trace.profile instrs)));
+  Alcotest.(check (option (float 0.))) "openmetrics sum is +Inf"
+    (Some Float.infinity)
+    (List.assoc_opt "test_json_inf_sum"
+       (Telemetry.parse_openmetrics (Telemetry.to_openmetrics ())));
+  Telemetry.reset ()
+
+(* ------------------------------------------------------------------ *)
 (* Bench comparator *)
+
+let compare_docs ~baseline ~current =
+  Bench_compare.compare_json ~baseline:(parse_ok baseline)
+    ~current:(parse_ok current)
 
 let baseline_doc =
   {|{
@@ -227,15 +308,11 @@ let baseline_doc =
 }|}
 
 let test_compare_identical_passes () =
-  match
-    Bench_compare.compare_strings ~baseline:baseline_doc ~current:baseline_doc
-  with
-  | Error e -> Alcotest.failf "parse error: %s" e
-  | Ok report ->
-      Alcotest.(check int) "no regressions" 0
-        (List.length report.Bench_compare.regressions);
-      Alcotest.(check (option string)) "workload extracted"
-        (Some "catalogue-fault-campaigns") report.Bench_compare.workload_name
+  let report = compare_docs ~baseline:baseline_doc ~current:baseline_doc in
+  Alcotest.(check int) "no regressions" 0
+    (List.length report.Bench_compare.regressions);
+  Alcotest.(check (option string)) "workload extracted"
+    (Some "catalogue-fault-campaigns") report.Bench_compare.workload_name
 
 (* First-occurrence substring replacement (no Str in the test deps). *)
 let replace s ~from ~into =
@@ -255,16 +332,12 @@ let test_compare_flags_degradation () =
   let degraded =
     replace baseline_doc ~from:{|"silent": 67|} ~into:{|"silent": 90|}
   in
-  match
-    Bench_compare.compare_strings ~baseline:baseline_doc ~current:degraded
-  with
-  | Error e -> Alcotest.failf "parse error: %s" e
-  | Ok report ->
-      let keys =
-        List.map (fun d -> d.Bench_compare.key) report.Bench_compare.regressions
-      in
-      Alcotest.(check (list string)) "exactly the degraded metric"
-        [ "families.CDKPM.silent" ] keys
+  let report = compare_docs ~baseline:baseline_doc ~current:degraded in
+  let keys =
+    List.map (fun d -> d.Bench_compare.key) report.Bench_compare.regressions
+  in
+  Alcotest.(check (list string)) "exactly the degraded metric"
+    [ "families.CDKPM.silent" ] keys
 
 let test_compare_missing_metric_is_regression () =
   let shrunk =
@@ -275,17 +348,13 @@ let test_compare_missing_metric_is_regression () =
           "silent_rate": 0.2233}
        ]}|}
   in
-  match
-    Bench_compare.compare_strings ~baseline:baseline_doc ~current:shrunk
-  with
-  | Error e -> Alcotest.failf "parse error: %s" e
-  | Ok report ->
-      Alcotest.(check bool) "dropped row regresses" true
-        (List.exists
-           (fun d ->
-             d.Bench_compare.status = Bench_compare.Missing
-             && d.Bench_compare.key = "families.Gidney.silent")
-           report.Bench_compare.regressions)
+  let report = compare_docs ~baseline:baseline_doc ~current:shrunk in
+  Alcotest.(check bool) "dropped row regresses" true
+    (List.exists
+       (fun d ->
+         d.Bench_compare.status = Bench_compare.Missing
+         && d.Bench_compare.key = "families.Gidney.silent")
+       report.Bench_compare.regressions)
 
 let test_compare_timing_floor () =
   (* A sub-millisecond timing wobble is noise, not a regression; a large
@@ -294,9 +363,7 @@ let test_compare_timing_floor () =
   let noisy = {|{"rows": [{"row": "a", "counts_dag_ms": 0.5}]}|} in
   let slow = {|{"rows": [{"row": "a", "counts_dag_ms": 200.0}]}|} in
   let regressions ~current =
-    match Bench_compare.compare_strings ~baseline:base ~current with
-    | Error e -> Alcotest.failf "parse error: %s" e
-    | Ok r -> List.length r.Bench_compare.regressions
+    List.length (compare_docs ~baseline:base ~current).Bench_compare.regressions
   in
   Alcotest.(check int) "25x on microseconds is noise" 0 (regressions ~current:noisy);
   Alcotest.(check int) "10000x past the floor regresses" 1
@@ -306,11 +373,9 @@ let test_compare_shared_nodes_exact () =
   (* Node counts are deterministic: growth and shrinkage both regress. *)
   let doc k = Printf.sprintf {|{"rows": [{"row": "a", "shared_nodes": %d}]}|} k in
   let regressions ~current =
-    match
-      Bench_compare.compare_strings ~baseline:(doc 17) ~current:(doc current)
-    with
-    | Error e -> Alcotest.failf "parse error: %s" e
-    | Ok r -> List.length r.Bench_compare.regressions
+    List.length
+      (compare_docs ~baseline:(doc 17) ~current:(doc current))
+        .Bench_compare.regressions
   in
   Alcotest.(check int) "unchanged passes" 0 (regressions ~current:17);
   Alcotest.(check int) "fewer nodes regresses" 1 (regressions ~current:0);
@@ -323,29 +388,26 @@ let test_trace_json_escapes_labels () =
         { label; peak_ancillas = 0;
           body = [ Instr.Gate (Gate.Cnot { control = 0; target = 1 }) ] } ]
   in
-  let json = Trace.to_json (Trace.profile instrs) in
-  match Bench_compare.parse json with
-  | exception Bench_compare.Parse_error e -> Alcotest.failf "invalid JSON: %s" e
-  | doc ->
-      let names =
-        match Bench_compare.member "traceEvents" doc with
-        | Some (Bench_compare.Arr evs) ->
-            List.filter_map
-              (fun e ->
-                match Bench_compare.member "name" e with
-                | Some (Bench_compare.Str s) -> Some s
-                | _ -> None)
-              evs
-        | _ -> []
-      in
-      Alcotest.(check bool) "label round-trips" true (List.mem label names)
+  let doc = parse_ok (Trace.to_json (Trace.profile instrs)) in
+  let names =
+    match Json.member "traceEvents" doc with
+    | Some (Json.Arr evs) ->
+        List.filter_map
+          (fun e ->
+            match Json.member "name" e with
+            | Some (Json.Str s) -> Some s
+            | _ -> None)
+          evs
+    | _ -> []
+  in
+  Alcotest.(check bool) "label round-trips" true (List.mem label names)
 
 let test_flatten_row_keys () =
   let doc =
     {|{"rows": [{"row": "mod_mul", "n": 16, "build_ms": 1.0},
                 {"row": "mod_mul", "n": 32, "build_ms": 3.0}]}|}
   in
-  let flat = Bench_compare.flatten (Bench_compare.parse doc) in
+  let flat = Bench_compare.flatten (parse_ok doc) in
   Alcotest.(check (option (float 0.))) "n disambiguates repeated rows"
     (Some 3.0)
     (List.assoc_opt "rows.mod_mul@32.build_ms" flat)
@@ -374,4 +436,7 @@ let suite =
       Alcotest.test_case "compare: shared_nodes gates exactly" `Quick
         test_compare_shared_nodes_exact;
       Alcotest.test_case "trace json escapes labels" `Quick
-        test_trace_json_escapes_labels ] )
+        test_trace_json_escapes_labels;
+      qtest prop_json_roundtrip;
+      Alcotest.test_case "json: non-finite values parse" `Quick
+        test_json_non_finite ] )
