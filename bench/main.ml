@@ -1,10 +1,14 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    (tables 1-6), validates the "in expectation" cost model by Monte-Carlo,
    reports the headline MBU savings (count and Toffoli depth), the two-sided
-   comparator, and the modular-multiplication extension. Finishes with
-   Bechamel wall-clock micro-benchmarks (one per table/experiment).
+   comparator, and the modular-multiplication extension. Then writes the
+   build, simulator and fault-campaign documents (BENCH_build.json,
+   BENCH_sim.json, BENCH_faults.json) and finishes with a per-phase
+   wall-clock table.
 
-     dune exec bench/main.exe *)
+     dune exec bench/main.exe
+     dune exec bench/main.exe -- --build-only   (or --sim-only, --faults-only)
+     dune exec bench/main.exe -- --compare BENCH_build.json   (regression gate) *)
 
 open Mbu_circuit
 open Mbu_core
@@ -793,18 +797,20 @@ let time_ms f =
 
 (* Distinct shared nodes reachable from [instrs]. *)
 let reachable_nodes instrs =
-  let seen = Hashtbl.create 64 in
-  let rec walk = function
-    | Instr.Call n ->
-        if not (Hashtbl.mem seen n.Instr.id) then begin
-          Hashtbl.add seen n.Instr.id ();
-          List.iter walk n.Instr.body
-        end
-    | Instr.If_bit { body; _ } | Instr.Span { body; _ } -> List.iter walk body
+  let count = ref 0 in
+  let rec walk visit = function
+    | Instr.Call n -> visit n
+    | Instr.If_bit { body; _ } | Instr.Span { body; _ } ->
+        List.iter (walk visit) body
     | Instr.Gate _ | Instr.Measure _ -> ()
   in
-  List.iter walk instrs;
-  Hashtbl.length seen
+  let visit =
+    Instr.memo (fun visit n ->
+        incr count;
+        List.iter (walk visit) n.Instr.body)
+  in
+  List.iter (walk visit) instrs;
+  !count
 
 let experiment_build_bench () =
   header
@@ -995,158 +1001,6 @@ let experiment_faults () =
       ("families", Json.Arr rows) ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock benchmarks *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let t1 () =
-    ignore
-      (measure_t1 (List.assoc "CDKPM" t1_builders) ~mbu:true ~n:16 ~p:(modulus 16))
-  in
-  let t2 () =
-    List.iter
-      (fun style ->
-        ignore
-          (measure_build ~n:16 (fun b ->
-               let x = Builder.fresh_register b "x" 16 in
-               let y = Builder.fresh_register b "y" 17 in
-               Adder.add style b ~x ~y)))
-      Adder.all_styles
-  in
-  let t3 () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let c = Builder.fresh_register b "c" 1 in
-           let x = Builder.fresh_register b "x" 16 in
-           let y = Builder.fresh_register b "y" 17 in
-           Adder.add_controlled Adder.Gidney b ~ctrl:(Register.get c 0) ~x ~y))
-  in
-  let t4 () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let y = Builder.fresh_register b "y" 17 in
-           Adder.add_const Adder.Cdkpm b ~a:1234 ~y))
-  in
-  let t5 () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let c = Builder.fresh_register b "c" 1 in
-           let y = Builder.fresh_register b "y" 17 in
-           Adder.add_const_controlled Adder.Cdkpm b ~ctrl:(Register.get c 0)
-             ~a:1234 ~y))
-  in
-  let t6 () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let x = Builder.fresh_register b "x" 16 in
-           let y = Builder.fresh_register b "y" 16 in
-           let t = Builder.fresh_register b "t" 1 in
-           Adder.compare Adder.Cdkpm b ~x ~y ~target:(Register.get t 0)))
-  in
-  let mc () =
-    ignore
-      (Resources.monte_carlo_toffoli ~shots:1
-         ~build:(fun b ->
-           let x = Builder.fresh_register b "x" 4 in
-           let y = Builder.fresh_register b "y" 4 in
-           Mod_add.modadd ~mbu:true Mod_add.spec_cdkpm b ~p:13 ~x ~y;
-           [ (x, 7); (y, 11) ])
-         ())
-  in
-  let two_sided () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let x = Builder.fresh_register b "x" 16 in
-           let y = Builder.fresh_register b "y" 16 in
-           let z = Builder.fresh_register b "z" 16 in
-           let t = Builder.fresh_register b "t" 1 in
-           Mbu.in_range Adder.Cdkpm b ~x ~y ~z ~target:(Register.get t 0)))
-  in
-  let modmul () =
-    ignore
-      (measure_build ~n:8 (fun b ->
-           let c = Builder.fresh_register b "c" 1 in
-           let x = Builder.fresh_register b "x" 8 in
-           let t = Builder.fresh_register b "t" 8 in
-           Mod_mul.cmult_add
-             (Mod_mul.ripple_engine ~mbu:true Mod_add.spec_mixed)
-             b ~ctrl:(Register.get c 0) ~a:37 ~p:(modulus 8) ~x ~target:t))
-  in
-  Test.make_grouped ~name:"mbu" ~fmt:"%s/%s"
-    [ Test.make ~name:"table1" (Staged.stage t1);
-      Test.make ~name:"table2" (Staged.stage t2);
-      Test.make ~name:"table3" (Staged.stage t3);
-      Test.make ~name:"table4" (Staged.stage t4);
-      Test.make ~name:"table5" (Staged.stage t5);
-      Test.make ~name:"table6" (Staged.stage t6);
-      Test.make ~name:"mbu_montecarlo" (Staged.stage mc);
-      Test.make ~name:"two_sided" (Staged.stage two_sided);
-      Test.make ~name:"modmul" (Staged.stage modmul);
-      Test.make ~name:"tcount"
-        (Staged.stage (fun () ->
-             let b = Builder.create () in
-             let x = Builder.fresh_register b "x" 16 in
-             let y = Builder.fresh_register b "y" 17 in
-             Adder.add Adder.Gidney b ~x ~y;
-             let c =
-               Decompose.circuit ~fresh_target_and:true (Builder.to_circuit b)
-             in
-             ignore (Decompose.t_count ~mode:(Counts.Expected 0.5) c.Circuit.instrs)));
-      Test.make ~name:"pebble"
-        (Staged.stage (fun () ->
-             ignore
-               (Pebble.cost ~chain_length:256 (Pebble.spooky ~chain_length:256 ()))));
-      Test.make ~name:"aqft"
-        (Staged.stage (fun () ->
-             ignore
-               (measure_build ~n:32 (fun b ->
-                    let x = Builder.fresh_register b "x" 32 in
-                    let y = Builder.fresh_register b "y" 33 in
-                    Adder_draper.add_approx b ~cutoff:6 ~x ~y))));
-      Test.make ~name:"depth"
-        (Staged.stage (fun () ->
-             ignore
-               (measure_build ~n:64 (fun b ->
-                    let x = Builder.fresh_register b "x" 64 in
-                    let y = Builder.fresh_register b "y" 65 in
-                    Adder_cla.add b ~x ~y))));
-      Test.make ~name:"qrom"
-        (Staged.stage (fun () ->
-             let data = Array.init 256 (fun i -> i land 1) in
-             ignore
-               (measure_build ~n:8 (fun b ->
-                    let address = Builder.fresh_register b "a" 8 in
-                    let target = Builder.fresh_register b "t" 1 in
-                    Qrom.unlookup b ~address ~target ~data)))) ]
-
-let run_bechamel () =
-  header "Wall-clock micro-benchmarks (Bechamel, circuit build + count)";
-  let open Bechamel in
-  let open Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] (bechamel_tests ()) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  fpf "  %-24s %14s@." "benchmark" "time/run";
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ t ] ->
-          if t > 1e6 then fpf "  %-24s %11.2f ms@." name (t /. 1e6)
-          else fpf "  %-24s %11.2f us@." name (t /. 1e3)
-      | _ -> fpf "  %-24s %14s@." name "n/a")
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* Driver with per-phase wall-clock accounting *)
 
 let phase_times : (string * float) list ref = ref []
@@ -1282,6 +1136,5 @@ let () =
   timed "ft" experiment_ft;
   timed "ablations" experiment_ablations;
   List.iter bench_phase bench_phases;
-  timed "bechamel" run_bechamel;
   report_phase_times ();
   fpf "@.done.@."

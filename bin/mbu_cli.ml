@@ -176,6 +176,11 @@ let mbu_arg = Arg.(value & flag & info [ "mbu" ] ~doc:"Use measurement-based unc
 let x_arg = Arg.(value & opt int 3 & info [ "x" ] ~doc:"Value of register x.")
 let y_arg = Arg.(value & opt int 5 & info [ "y" ] ~doc:"Value of register y.")
 
+let pp_mode fmt = function
+  | Counts.Worst -> Format.pp_print_string fmt "worst"
+  | Counts.Best -> Format.pp_print_string fmt "best"
+  | Counts.Expected p -> Format.fprintf fmt "expected(%g)" p
+
 let mode_arg =
   let mode_conv =
     Arg.conv
@@ -185,10 +190,7 @@ let mode_arg =
           | "best" -> Ok Counts.Best
           | "expected" -> Ok (Counts.Expected 0.5)
           | _ -> Error (`Msg "mode must be worst | best | expected")),
-        fun fmt -> function
-          | Counts.Worst -> Format.pp_print_string fmt "worst"
-          | Counts.Best -> Format.pp_print_string fmt "best"
-          | Counts.Expected p -> Format.fprintf fmt "expected(%g)" p )
+        pp_mode )
   in
   Arg.(value & opt mode_conv (Counts.Expected 0.5)
        & info [ "mode" ] ~doc:"Counting mode: worst | best | expected.")
@@ -203,10 +205,7 @@ let counts_cmd =
     in
     let c = Builder.to_circuit builder in
     let counts = Circuit.counts ~mode c in
-    let depth_mode =
-      match mode with Counts.Worst -> `Worst | _ -> `Expected 0.5
-    in
-    let d = Depth.of_circuit ~mode:depth_mode c in
+    let d = Depth.of_circuit ~mode:(`Expected (Counts.branch_weight mode)) c in
     Format.printf "circuit     : %s (%s%s), n = %d@." circuit
       (Adder.style_name style) (if mbu then ", MBU" else "") n;
     Format.printf "qubits      : %d (%d inputs + %d ancillas)@."
@@ -327,22 +326,11 @@ let profile_cmd =
         (Builder.num_qubits builder) (Builder.input_qubits builder)
         (Builder.ancilla_qubits builder);
       Format.printf "spans       : %d@." (Instr.count_spans c.Circuit.instrs);
-      Format.printf "mode        : %a@.@."
-        (fun fmt -> function
-          | Counts.Worst -> Format.pp_print_string fmt "worst"
-          | Counts.Best -> Format.pp_print_string fmt "best"
-          | Counts.Expected pr -> Format.fprintf fmt "expected(%g)" pr)
-        mode;
+      Format.printf "mode        : %a@.@." pp_mode mode;
       print_string (Trace.render ~merge:(not no_merge) ?max_depth root);
       if shots > 0 then begin
         let open Mbu_simulator in
         let st, jobs, dt = run_shots_now () in
-        let modelled =
-          match mode with
-          | Counts.Expected pr -> Printf.sprintf "%g" pr
-          | Counts.Worst -> "1, worst"
-          | Counts.Best -> "0, best"
-        in
         Format.printf "@.";
         Format.printf "simulator   : %s backend, jobs = %d, %.0f shots/sec@."
           Sim.parallel_backend jobs
@@ -353,8 +341,8 @@ let profile_cmd =
         | Some f ->
             Format.printf
               "branches    : empirical taken frequency %.3f over %d shots \
-               (modelled %s)@."
-              f shots modelled;
+               (modelled %g)@."
+              f shots (Counts.branch_weight mode);
             List.iter
               (fun bit ->
                 match Sim.bit_taken_frequency st bit with

@@ -39,51 +39,43 @@ let of_gate = function
   | Gate.Toffoli _ -> { zero with toffoli = 1. }
   | Gate.Cphase _ -> { zero with cphase = 1. }
 
+let branch_weight = function Worst -> 1. | Best -> 0. | Expected p -> p
+
+let memo_exact mode =
+  let w = branch_weight mode in
+  w = 0. || fst (Float.frexp w) = 0.5
+
 let of_instrs ~mode instrs =
-  let branch_weight =
-    match mode with Worst -> 1. | Best -> 0. | Expected p -> p
-  in
-  (* Per-invocation memo for shared blocks: a node's counts are evaluated
-     once at weight 1 and every reference scales that total by its own
-     enclosing weight. When the weight is a power of two (always the case
-     for Worst/Best and the canonical Expected 0.5 — nested If_bit
-     halvings) and the per-gate unit contributions are integers, all
-     intermediate sums are dyadic rationals far below 2^53 — float
-     arithmetic is exact in any association and the memoized result is
-     bit-identical to the inline tree walk. A non-dyadic branch weight
-     (e.g. Expected 0.3) pollutes every accumulator with rounding, making
-     w*k differ from k additions of w in the last ulp, so those modes fall
-     back to the inline walk throughout. *)
-  let memo : (int, t) Hashtbl.t = Hashtbl.create 64 in
-  let use_memo = branch_weight = 0. || fst (Float.frexp branch_weight) = 0.5 in
-  let rec count weight acc = function
+  let branch_weight = branch_weight mode and exact = memo_exact mode in
+  (* A shared node is counted once at weight 1 and every reference scales
+     that total by its own enclosing weight — exact only when
+     [memo_exact mode]; otherwise every reference walks its body. *)
+  let rec count node_counts weight acc = function
     | [] -> acc
-    | Instr.Gate g :: rest -> count weight (add acc (scale weight (of_gate g))) rest
+    | Instr.Gate g :: rest ->
+        count node_counts weight (add acc (scale weight (of_gate g))) rest
     | Instr.Measure _ :: rest ->
-        count weight (add acc (scale weight { zero with measure = 1. })) rest
+        count node_counts weight
+          (add acc (scale weight { zero with measure = 1. }))
+          rest
     | Instr.If_bit { body; _ } :: rest ->
-        let acc = count (weight *. branch_weight) acc body in
-        count weight acc rest
+        let acc = count node_counts (weight *. branch_weight) acc body in
+        count node_counts weight acc rest
     | Instr.Span { body; _ } :: rest ->
-        let acc = count weight acc body in
-        count weight acc rest
+        let acc = count node_counts weight acc body in
+        count node_counts weight acc rest
     | Instr.Call node :: rest ->
-        if use_memo then
-          let c =
-            match Hashtbl.find_opt memo node.Instr.id with
-            | Some c -> c
-            | None ->
-                let c = count 1. zero node.Instr.body in
-                Hashtbl.add memo node.Instr.id c;
-                c
-          in
-          let c = if weight = 1. then c else scale weight c in
-          count weight (add acc c) rest
-        else
-          let acc = count weight acc node.Instr.body in
-          count weight acc rest
+        let acc =
+          if exact then
+            let c = node_counts node in
+            add acc (if weight = 1. then c else scale weight c)
+          else count node_counts weight acc node.Instr.body
+        in
+        count node_counts weight acc rest
   in
-  count 1. zero instrs
+  count
+    (Instr.memo (fun get node -> count get 1. zero node.Instr.body))
+    1. zero instrs
 
 let cnot_cz c = c.cnot +. c.cz
 let two_qubit c = c.cnot +. c.cz +. c.swap +. c.cphase

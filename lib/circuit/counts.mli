@@ -28,6 +28,23 @@ type mode =
       (** each conditional block executes with this probability,
           independently; [Expected 0.5] is the paper's cost model *)
 
+val branch_weight : mode -> float
+(** Probability that one conditional block executes: [1.] for [Worst], [0.]
+    for [Best], [p] for [Expected p]. The one place a mode becomes a
+    weight; {!Depth} takes it as [`Expected (branch_weight mode)]. *)
+
+val memo_exact : mode -> bool
+(** Whether a shared block may be evaluated once at weight 1 and scaled by
+    each reference's weight with a result bit-identical to walking every
+    reference inline. True when the branch weight is [0.] or a power of two
+    ([Worst], [Best] and the paper's [Expected 0.5]): then every
+    intermediate sum of integer per-gate contributions is a dyadic rational
+    far below 2^53, so float arithmetic is exact in any association. A
+    non-dyadic weight (e.g. [Expected 0.3]) rounds in every accumulator,
+    making [w *. k] differ from [k] additions of [w] in the last ulp, so
+    passes walk every reference instead. {!of_instrs} and [Trace.profile]
+    memoize shared blocks under this rule. *)
+
 val zero : t
 val add : t -> t -> t
 val scale : float -> t -> t

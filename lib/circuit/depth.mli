@@ -13,7 +13,10 @@
     conditional body runs; [`Expected p] weights the layers contributed by a
     conditional body by the probability that it runs (a linear-in-expectation
     approximation — exact expected depth of an adaptive circuit is obtained
-    by Monte-Carlo over simulator runs instead, see [Sim]). *)
+    by Monte-Carlo over simulator runs instead, see [Sim]). Best-case depth
+    (no conditional body runs) is [`Expected 0.]; a caller holding a
+    {!Counts.mode} passes [`Expected (Counts.branch_weight mode)], which
+    for [Counts.Worst] equals [`Worst]. *)
 
 type r = { total : float; toffoli : float }
 

@@ -71,7 +71,7 @@ and equal_body a b =
 (* and fault-site totals, and unitarity, with optional gate            *)
 (* validation. A [Call] contributes its node's stored summary, so the  *)
 (* walk covers one DAG level; validation alone descends into nodes,    *)
-(* each distinct one once per call.                                    *)
+(* each distinct one once per call through [memo].                     *)
 (* ------------------------------------------------------------------ *)
 
 type scan_acc = {
@@ -130,25 +130,34 @@ let summarize instrs =
     site_count = acc.nf;
     unitary = acc.un }
 
+(* The one per-node memo: a table keyed on node id, local to one pass. *)
+let memo f =
+  let tbl = Hashtbl.create 64 in
+  let rec get n =
+    match Hashtbl.find_opt tbl n.id with
+    | Some v -> v
+    | None ->
+        let v = f get n in
+        Hashtbl.add tbl n.id v;
+        v
+  in
+  get
+
 let validate_gates instrs =
-  let seen = Hashtbl.create 64 in
-  let rec go = function
+  let rec go visit = function
     | [] -> ()
     | Gate g :: rest ->
         Gate.validate g;
-        go rest
-    | Measure _ :: rest -> go rest
+        go visit rest
+    | Measure _ :: rest -> go visit rest
     | (If_bit { body; _ } | Span { body; _ }) :: rest ->
-        go body;
-        go rest
+        go visit body;
+        go visit rest
     | Call n :: rest ->
-        if not (Hashtbl.mem seen n.id) then begin
-          Hashtbl.add seen n.id ();
-          go n.body
-        end;
-        go rest
+        visit n;
+        go visit rest
   in
-  go instrs
+  go (memo (fun visit n -> go visit n.body)) instrs
 
 let scan ?(validate = false) instrs =
   if validate then validate_gates instrs;
@@ -202,29 +211,22 @@ let count_spans instrs = (scan instrs).span_count
 let is_unitary instrs = (scan instrs).unitary
 
 (* ------------------------------------------------------------------ *)
-(* Adjoint. The adjoint of a shared node is itself shared; a per-call  *)
-(* memo visits each distinct node once, and interning makes            *)
+(* Adjoint. The adjoint of a shared node is itself shared; [memo]      *)
+(* visits each distinct node once per call, and interning makes        *)
 (* double-adjoint return the original node physically.                 *)
 (* ------------------------------------------------------------------ *)
 
 let adjoint instrs =
-  let memo : (int, t) Hashtbl.t = Hashtbl.create 16 in
-  let rec adj body = List.rev_map adj_one body
-  and adj_one = function
+  let rec adj call body = List.rev_map (adj_one call) body
+  and adj_one call = function
     | Gate g -> Gate (Gate.adjoint g)
     | Span { label; peak_ancillas; body } ->
-        Span { label; peak_ancillas; body = adj body }
-    | Call n -> (
-        match Hashtbl.find_opt memo n.id with
-        | Some a -> a
-        | None ->
-            let a = share (adj n.body) in
-            Hashtbl.add memo n.id a;
-            a)
+        Span { label; peak_ancillas; body = adj call body }
+    | Call n -> call n
     | Measure _ | If_bit _ ->
         invalid_arg "Instr.adjoint: circuit contains a measurement"
   in
-  adj instrs
+  adj (memo (fun call n -> share (adj call n.body))) instrs
 
 let rec iter_gates f = function
   | [] -> ()

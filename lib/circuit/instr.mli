@@ -13,8 +13,9 @@
     analysed once. Every consumer treats [Call n] exactly as the inline
     expansion of [n.body]. Each node carries its {!summary}, computed once
     when it is interned, so [scan] and the fault-site walks read a [Call]
-    in O(1); heavier metric passes memoize per distinct node within one
-    call. *)
+    in O(1); heavier passes (validation, adjoint, counting, profiling,
+    decomposition) visit each distinct node once per call through
+    {!memo}, the one per-node memo. *)
 
 type summary = {
   max_qubit : int;  (** largest wire index touched, or [-1] *)
@@ -51,17 +52,25 @@ type t =
           construct a node by hand. *)
 
 and node = private { id : int; hkey : int; body : t list; summary : summary }
-(** An interned block. [id] is a process-unique identifier (memo key for
-    metric passes), [hkey] the structural hash under which the body was
-    interned, [summary] the {!scan} of [body], computed from the node's own
-    level and its children's summaries when the node is allocated (gates
-    are not re-validated there: {!Builder} already checked them).
+(** An interned block. [id] is a process-unique identifier, read only as
+    the key of {!memo}, the one per-node memo; [hkey] the structural hash
+    under which the body was interned; [summary] the {!scan} of [body],
+    computed from the node's own level and its children's summaries when
+    the node is allocated (gates are not re-validated there: {!Builder}
+    already checked them).
     Structurally equal bodies always yield the physically same node. *)
 
 val share : t list -> t
 (** [share body] interns [body] and returns a [Call] reference to its
     canonical node. Two calls with structurally equal bodies (including
     [Call] children, which compare by node identity) return the same node. *)
+
+val memo : ((node -> 'a) -> node -> 'a) -> node -> 'a
+(** [memo f] is a memoized [get : node -> 'a] with a fresh table keyed on
+    node id: [get n] computes [f get n] on the first request for [n] and
+    returns the stored value afterwards, so [f] runs once per distinct
+    node. [f] reaches a child node through the [get] it is handed. Apply
+    [memo] once per pass; the table lives as long as that [get]. *)
 
 val expand_calls : t list -> t list
 (** Expand every [Call] back into its body, recursively — the materialized

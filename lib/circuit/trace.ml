@@ -14,11 +14,6 @@ type entry = {
 
 let root_label = "(root)"
 
-let depth_mode = function
-  | Counts.Worst -> `Worst
-  | Counts.Best -> `Expected 0.
-  | Counts.Expected p -> `Expected p
-
 let cum_of flat children =
   List.fold_left (fun acc e -> Counts.add acc e.cum) flat children
 
@@ -26,25 +21,20 @@ let cum_of flat children =
    (clock 0, weight 1, empty path). Every reference rebases it into its own
    context: starts shift by the reference's clock, counts and durations
    scale by the enclosing branch weight, paths get the reference's prefix.
-   When the branch weight is a power of two (Worst/Best/Expected 0.5) all
-   quantities are integers scaled by exact powers of two, so the rescaling
-   is exact and the rebased entries are bit-identical to an inline walk; a
-   non-dyadic branch weight (e.g. Expected 0.3) pollutes every accumulator
-   with rounding, so those modes inline-walk all references instead. *)
+   The rebased entries are bit-identical to an inline walk when
+   [Counts.memo_exact mode]; other modes inline-walk all references. *)
 type node_memo = { m_flat : Counts.t; m_dur : float; m_children : entry list }
 
 type clock = { mutable c : float }
 
 let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
-  let branch_weight =
-    match mode with Counts.Worst -> 1. | Best -> 0. | Expected p -> p
-  in
+  let branch_weight = Counts.branch_weight mode in
   let depth_of body =
     (* Per-span isolated ASAP depth is the one metric that cannot be
        memoized across contexts cheaply (ancestor spans re-walk their whole
        expansion); [~span_depth:false] skips it for cryptographic-scale
        sweeps where only counts/attribution matter. *)
-    if span_depth then Depth.of_instrs ~mode:(depth_mode mode) body
+    if span_depth then Depth.of_instrs ~mode:(`Expected branch_weight) body
     else { Depth.total = 0.; toffoli = 0. }
   in
   (* [clock] is the running weighted instruction count — the span timeline's
@@ -53,25 +43,25 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
   (* an all-float record keeps the clock unboxed: updating a [float ref]
      allocates a fresh box per gate, which dominates large walks *)
   let clock = { c = 0. } in
-  let memo : (int, node_memo) Hashtbl.t = Hashtbl.create 64 in
-  let use_memo = branch_weight = 0. || fst (Float.frexp branch_weight) = 0.5 in
-  (* Number of syntactic Call sites per node in the deduplicated walk (each
-     distinct body visited once, so the prepass is O(dag), allocation-free).
-     A node referenced from a single site gains nothing from the
-     neutral-frame memo — memoize-then-rebase would materialize its span
-     entries twice — so the walk below inlines those and memoizes only
-     nodes with two or more sites. *)
-  let occurrences : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let rec count_sites = function
+  let use_memo = Counts.memo_exact mode in
+  (* Number of syntactic Call sites per node in the deduplicated walk: each
+     distinct body is visited once, and every site bumps its node's
+     counter, so the prepass is O(dag). A node referenced from a single
+     site gains nothing from the neutral-frame memo — memoize-then-rebase
+     would materialize its span entries twice — so the walk below inlines
+     those and memoizes only nodes with two or more sites. *)
+  let rec count_sites sites = function
     | Instr.Gate _ | Instr.Measure _ -> ()
     | Instr.If_bit { body; _ } | Instr.Span { body; _ } ->
-        List.iter count_sites body
-    | Instr.Call node ->
-        let n = try Hashtbl.find occurrences node.Instr.id with Not_found -> 0 in
-        Hashtbl.replace occurrences node.Instr.id (n + 1);
-        if n = 0 then List.iter count_sites node.Instr.body
+        List.iter (count_sites sites) body
+    | Instr.Call node -> incr (sites node)
   in
-  if use_memo then List.iter count_sites instrs;
+  let sites =
+    Instr.memo (fun sites node ->
+        List.iter (count_sites sites) node.Instr.body;
+        ref 0)
+  in
+  if use_memo then List.iter (count_sites sites) instrs;
   let rec rebase ~w ~at ~path e =
     if w = 1. then
       { e with
@@ -88,7 +78,7 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
         children = List.map (rebase ~w ~at ~path) e.children }
   in
   (* returns (flat counts, children in emission order) for one block *)
-  let rec walk path w instrs =
+  let rec walk memo_of path w instrs =
     let flat, rev_children =
       List.fold_left
         (fun (flat, kids) i ->
@@ -103,12 +93,12 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
           | Instr.If_bit { body; _ } ->
               (* a conditional block is not a span: its contents attribute to
                  the enclosing span, discounted by the branch probability *)
-              let bflat, bkids = walk path (w *. branch_weight) body in
+              let bflat, bkids = walk memo_of path (w *. branch_weight) body in
               (Counts.add flat bflat, List.rev_append bkids kids)
           | Instr.Span { label; peak_ancillas; body } ->
               let start = clock.c in
               let cpath = path @ [ label ] in
-              let bflat, bkids = walk cpath w body in
+              let bflat, bkids = walk memo_of cpath w body in
               let d = depth_of body in
               let e =
                 { label; path = cpath; start; dur = clock.c -. start;
@@ -118,12 +108,7 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
               in
               (flat, e :: kids)
           | Instr.Call node ->
-              if
-                use_memo
-                && (try Hashtbl.find occurrences node.Instr.id
-                    with Not_found -> 0)
-                   > 1
-              then begin
+              if use_memo && !(sites node) > 1 then begin
                 let m = memo_of node in
                 let at = clock.c in
                 clock.c <- at +. (w *. m.m_dur);
@@ -134,28 +119,23 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
                 (Counts.add flat mflat, List.rev_append bkids kids)
               end
               else
-                let bflat, bkids = walk path w node.Instr.body in
+                let bflat, bkids = walk memo_of path w node.Instr.body in
                 (Counts.add flat bflat, List.rev_append bkids kids))
         (Counts.zero, []) instrs
     in
     (flat, List.rev rev_children)
-  and memo_of node =
-    match Hashtbl.find_opt memo node.Instr.id with
-    | Some m -> m
-    | None ->
+  in
+  let memo_of =
+    Instr.memo (fun memo_of node ->
         let saved = clock.c in
         clock.c <- 0.;
-        let flat, children = walk [] 1. node.Instr.body in
+        let flat, children = walk memo_of [] 1. node.Instr.body in
         let m = { m_flat = flat; m_dur = clock.c; m_children = children } in
         clock.c <- saved;
-        Hashtbl.add memo node.Instr.id m;
-        m
+        m)
   in
-  let flat, children = walk [] 1. instrs in
-  let d =
-    if span_depth then Depth.of_instrs ~mode:(depth_mode mode) instrs
-    else { Depth.total = 0.; toffoli = 0. }
-  in
+  let flat, children = walk memo_of [] 1. instrs in
+  let d = depth_of instrs in
   let peak =
     List.fold_left (fun m e -> max m e.peak_ancillas) 0 children
   in

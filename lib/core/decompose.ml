@@ -45,37 +45,26 @@ let circuit ?(fresh_target_and = false) (c : Circuit.t) =
   let expand = if fresh_target_and then and_4t else toffoli_7t in
   (* A shared block rewrites to a shared block: the rewritten body is
      re-interned once per distinct node and every reference reuses it. *)
-  let memo : (int, Instr.t) Hashtbl.t = Hashtbl.create 32 in
-  let rec rewrite = function
+  let rec rewrite call = function
     | [] -> []
     | Instr.Gate (Gate.Toffoli { c1; c2; target }) :: rest ->
-        List.map (fun g -> Instr.Gate g) (expand ~c1 ~c2 ~target) @ rewrite rest
+        List.map (fun g -> Instr.Gate g) (expand ~c1 ~c2 ~target)
+        @ rewrite call rest
     | (Instr.Gate _ as i) :: rest | (Instr.Measure _ as i) :: rest ->
-        i :: rewrite rest
+        i :: rewrite call rest
     | Instr.If_bit { bit; value; body } :: rest ->
-        Instr.If_bit { bit; value; body = rewrite body } :: rewrite rest
+        Instr.If_bit { bit; value; body = rewrite call body } :: rewrite call rest
     | Instr.Span { label; peak_ancillas; body } :: rest ->
-        Instr.Span { label; peak_ancillas; body = rewrite body } :: rewrite rest
-    | Instr.Call node :: rest ->
-        let i =
-          match Hashtbl.find_opt memo node.Instr.id with
-          | Some i -> i
-          | None ->
-              let i = Instr.share (rewrite node.Instr.body) in
-              Hashtbl.add memo node.Instr.id i;
-              i
-        in
-        i :: rewrite rest
+        Instr.Span { label; peak_ancillas; body = rewrite call body }
+        :: rewrite call rest
+    | Instr.Call node :: rest -> call node :: rewrite call rest
   in
+  let call = Instr.memo (fun call node -> Instr.share (rewrite call node.Instr.body)) in
   Circuit.make ~num_qubits:c.Circuit.num_qubits ~num_bits:c.Circuit.num_bits
-    (rewrite c.Circuit.instrs)
+    (rewrite call c.Circuit.instrs)
 
 let t_count ~mode instrs =
-  let weight = match mode with
-    | Counts.Worst -> 1.
-    | Counts.Best -> 0.
-    | Counts.Expected p -> p
-  in
+  let weight = Counts.branch_weight mode in
   let is_t = function
     | Gate.Phase (_, p) -> Phase.log2_den p = 3
     | _ -> false

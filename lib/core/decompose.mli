@@ -30,4 +30,5 @@ val circuit : ?fresh_target_and:bool -> Circuit.t -> Circuit.t
 
 val t_count : mode:Counts.mode -> Instr.t list -> float
 (** Number of [T]/[T!] gates (single-qubit rotations by [±pi/4]), with
-    conditional blocks weighted as in {!Counts.of_instrs}. *)
+    conditional blocks weighted by [Counts.branch_weight mode] as in
+    {!Counts.of_instrs}. *)

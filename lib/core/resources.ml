@@ -22,13 +22,9 @@ let measure ?(mode = Counts.Expected 0.5) ~n ~build () =
   build b;
   let circuit = Builder.to_circuit b in
   let c = Circuit.counts ~mode circuit in
-  let depth_mode =
-    match mode with
-    | Counts.Worst -> `Worst
-    | Counts.Best -> `Expected 0.
-    | Counts.Expected p -> `Expected p
+  let d =
+    Depth.of_circuit ~mode:(`Expected (Counts.branch_weight mode)) circuit
   in
-  let d = Depth.of_circuit ~mode:depth_mode circuit in
   { toffoli = c.Counts.toffoli;
     cnot = c.Counts.cnot;
     cz = c.Counts.cz;

@@ -63,6 +63,10 @@ let circuits () =
              (Pebble.bennett ~chain_length:6));
         Builder.to_circuit b ) ]
 
+let counting_modes =
+  [ ("worst", Counts.Worst); ("best", Counts.Best);
+    ("exp0.5", Counts.Expected 0.5); ("exp0.3", Counts.Expected 0.3) ]
+
 (* The memoized passes vs the same pass on the expanded tree. Dyadic modes
    must agree bit-for-bit (the memo is only enabled when float sums are
    exact); non-dyadic Expected 0.3 takes the inline path and is trivially
@@ -78,8 +82,7 @@ let test_metrics_match_tree () =
           Alcotest.(check bool)
             msg true
             (Counts.of_instrs ~mode dag = Counts.of_instrs ~mode tree))
-        [ ("worst", Counts.Worst); ("best", Counts.Best);
-          ("exp0.5", Counts.Expected 0.5); ("exp0.3", Counts.Expected 0.3) ];
+        counting_modes;
       List.iter
         (fun (mname, mode) ->
           let d = Depth.of_instrs ~mode dag in
@@ -88,7 +91,8 @@ let test_metrics_match_tree () =
             (Printf.sprintf "%s/%s depth" name mname)
             true
             (d.Depth.total = t.Depth.total && d.Depth.toffoli = t.Depth.toffoli))
-        [ ("worst", `Worst); ("exp0.5", `Expected 0.5) ];
+        [ ("worst", `Worst); ("exp0", `Expected 0.); ("exp0.5", `Expected 0.5);
+          ("exp0.3", `Expected 0.3) ];
       Alcotest.(check int) (name ^ " max_qubit") (Instr.max_qubit tree)
         (Instr.max_qubit dag);
       Alcotest.(check int) (name ^ " max_bit") (Instr.max_bit tree)
@@ -120,6 +124,76 @@ let test_trace_matches_tree () =
               ("exp0.3", Counts.Expected 0.3) ])
         [ true; false ])
     (circuits ())
+
+(* Decompose.circuit rewrites each distinct shared node once; expanded, its
+   output is the rewrite of the expanded tree, and t_count counts the same
+   T gates on either form. *)
+let test_decompose_matches_tree () =
+  List.iter
+    (fun (name, c) ->
+      let tree =
+        Circuit.make ~num_qubits:c.Circuit.num_qubits
+          ~num_bits:c.Circuit.num_bits
+          (Instr.expand_calls c.Circuit.instrs)
+      in
+      List.iter
+        (fun fresh_target_and ->
+          let dag = (Decompose.circuit ~fresh_target_and c).Circuit.instrs in
+          let flat = (Decompose.circuit ~fresh_target_and tree).Circuit.instrs in
+          let msg = Printf.sprintf "%s fresh:%b" name fresh_target_and in
+          Alcotest.(check bool) (msg ^ " decomposed") true
+            (Instr.expand_calls dag = flat);
+          List.iter
+            (fun (mname, mode) ->
+              Alcotest.(check (float 0.))
+                (Printf.sprintf "%s/%s t_count" msg mname)
+                (Decompose.t_count ~mode flat) (Decompose.t_count ~mode dag))
+            counting_modes)
+        [ false; true ])
+    (circuits ())
+
+(* Instr.memo runs its function once per distinct node: walking mod_mul's
+   DAG twice through one memo, with every reference asking for its node,
+   calls [f] exactly once for each node reachable from the circuit. *)
+let test_memo_once_per_node () =
+  let instrs = (List.assoc "mod_mul" (circuits ())).Circuit.instrs in
+  let rec walk get = function
+    | Instr.Call n -> Alcotest.(check int) "memoized value" n.Instr.id (get n)
+    | Instr.If_bit { body; _ } | Instr.Span { body; _ } ->
+        List.iter (walk get) body
+    | Instr.Gate _ | Instr.Measure _ -> ()
+  in
+  let calls = Hashtbl.create 64 in
+  let get =
+    Instr.memo (fun get n ->
+        let k = Option.value ~default:0 (Hashtbl.find_opt calls n.Instr.id) in
+        Hashtbl.replace calls n.Instr.id (k + 1);
+        List.iter (walk get) n.Instr.body;
+        n.Instr.id)
+  in
+  List.iter (walk get) instrs;
+  List.iter (walk get) instrs;
+  (* reachable nodes and references, counted without any memo *)
+  let reachable = Hashtbl.create 64 and references = ref 0 in
+  let rec expand = function
+    | Instr.Call n ->
+        incr references;
+        Hashtbl.replace reachable n.Instr.id ();
+        List.iter expand n.Instr.body
+    | Instr.If_bit { body; _ } | Instr.Span { body; _ } -> List.iter expand body
+    | Instr.Gate _ | Instr.Measure _ -> ()
+  in
+  List.iter expand instrs;
+  Alcotest.(check bool) "nodes are shared" true
+    (!references > Hashtbl.length reachable);
+  Alcotest.(check int) "f ran for every reachable node"
+    (Hashtbl.length reachable) (Hashtbl.length calls);
+  Hashtbl.iter
+    (fun id k ->
+      Alcotest.(check bool) (Printf.sprintf "node #%d reachable" id) true
+        (Hashtbl.mem reachable id);
+      Alcotest.(check int) (Printf.sprintf "node #%d computed once" id) 1 k)
+    calls
 
 (* QASM emission expands shared blocks in place: same text as the tree. *)
 let test_qasm_matches_tree () =
@@ -280,22 +354,25 @@ let test_shared_anonymous () =
 (* Each node's stored summary is the scan of its expanded body, and its
    site count is the length of the expanded site enumeration. *)
 let test_node_summaries () =
-  let seen = Hashtbl.create 64 in
-  let rec check = function
-    | Instr.Call n ->
-        if not (Hashtbl.mem seen n.Instr.id) then begin
-          Hashtbl.add seen n.Instr.id ();
-          let tree = Instr.expand_calls n.Instr.body in
-          let msg = Printf.sprintf "node #%d" n.Instr.id in
-          Alcotest.(check bool) (msg ^ " summary") true
-            (n.Instr.summary = Instr.scan tree);
-          Alcotest.(check int) (msg ^ " site_count")
-            (List.length (Fault.sites tree)) n.Instr.summary.Instr.site_count;
-          List.iter check n.Instr.body
-        end
-    | Instr.If_bit { body; _ } | Instr.Span { body; _ } -> List.iter check body
+  let checked = ref 0 in
+  let rec check visit = function
+    | Instr.Call n -> visit n
+    | Instr.If_bit { body; _ } | Instr.Span { body; _ } ->
+        List.iter (check visit) body
     | Instr.Gate _ | Instr.Measure _ -> ()
   in
+  let visit =
+    Instr.memo (fun visit n ->
+        incr checked;
+        let tree = Instr.expand_calls n.Instr.body in
+        let msg = Printf.sprintf "node #%d" n.Instr.id in
+        Alcotest.(check bool) (msg ^ " summary") true
+          (n.Instr.summary = Instr.scan tree);
+        Alcotest.(check int) (msg ^ " site_count")
+          (List.length (Fault.sites tree)) n.Instr.summary.Instr.site_count;
+        List.iter (check visit) n.Instr.body)
+  in
+  let check = check visit in
   let n = 5 in
   let p = modulus n in
   List.iter
@@ -304,7 +381,7 @@ let test_node_summaries () =
       List.iter check spec.Mbu_robustness.Engine.circuit.Circuit.instrs)
     Mbu_robustness.Catalogue.all;
   List.iter check (List.assoc "mod_mul" (circuits ())).Circuit.instrs;
-  Alcotest.(check bool) "some nodes checked" true (Hashtbl.length seen > 0);
+  Alcotest.(check bool) "some nodes checked" true (!checked > 0);
   (* Summaries skip validation, but a validating Circuit.make still
      descends into shared nodes. *)
   Alcotest.check_raises "invalid gate in a shared node"
@@ -319,6 +396,10 @@ let suite =
         test_metrics_match_tree;
       Alcotest.test_case "trace matches expanded tree" `Quick
         test_trace_matches_tree;
+      Alcotest.test_case "decompose matches expanded tree" `Quick
+        test_decompose_matches_tree;
+      Alcotest.test_case "memo computes each node once" `Quick
+        test_memo_once_per_node;
       Alcotest.test_case "qasm matches expanded tree" `Quick
         test_qasm_matches_tree;
       Alcotest.test_case "sharing occurs on mod_mul/qrom/pebble" `Quick
