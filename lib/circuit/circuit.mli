@@ -4,6 +4,8 @@ type t = private {
   num_qubits : int;
   num_bits : int;
   instrs : Instr.t list;
+  tape : Tape.t option Atomic.t;
+      (** the compiled {!Tape.t}, filled by the first {!tape} request *)
 }
 
 val make :
@@ -28,5 +30,9 @@ val is_unitary : t -> bool
 
 val append : t -> t -> t
 (** Sequential composition on a shared wire numbering. *)
+
+val tape : t -> Tape.t
+(** The circuit's execution tape, compiled on the first request and cached
+    on the circuit; safe to call from several domains at once. *)
 
 val pp : Format.formatter -> t -> unit

@@ -10,7 +10,7 @@ type env = {
 let get tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0.
 
 let of_instrs ~mode instrs =
-  let weight = match mode with `Worst -> 1. | `Expected p -> p in
+  let (`Expected weight) = mode in
   let env =
     { qdepth = Hashtbl.create 64; qtof = Hashtbl.create 64;
       bdepth = Hashtbl.create 8; btof = Hashtbl.create 8 }

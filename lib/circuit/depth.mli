@@ -9,16 +9,15 @@
     Measurements occupy a layer on their qubit and define the classical bit;
     gates inside a conditional block additionally depend on that bit.
 
-    Two accounting modes mirror {!Counts.mode}: [`Worst] assumes every
-    conditional body runs; [`Expected p] weights the layers contributed by a
+    The accounting mode [`Expected p] weights the layers contributed by a
     conditional body by the probability that it runs (a linear-in-expectation
     approximation — exact expected depth of an adaptive circuit is obtained
-    by Monte-Carlo over simulator runs instead, see [Sim]). Best-case depth
-    (no conditional body runs) is [`Expected 0.]; a caller holding a
-    {!Counts.mode} passes [`Expected (Counts.branch_weight mode)], which
-    for [Counts.Worst] equals [`Worst]. *)
+    by Monte-Carlo over simulator runs instead, see [Sim]). Worst-case depth
+    (every conditional body runs) is [`Expected 1.], best-case depth (none
+    runs) is [`Expected 0.]; a caller holding a {!Counts.mode} passes
+    [`Expected (Counts.branch_weight mode)]. *)
 
 type r = { total : float; toffoli : float }
 
-val of_instrs : mode:[ `Worst | `Expected of float ] -> Instr.t list -> r
-val of_circuit : mode:[ `Worst | `Expected of float ] -> Circuit.t -> r
+val of_instrs : mode:[ `Expected of float ] -> Instr.t list -> r
+val of_circuit : mode:[ `Expected of float ] -> Circuit.t -> r

@@ -7,9 +7,10 @@
     {e static expanded position} of their instruction — the index the
     instruction has in [Instr.count_instrs] order, where [Gate] / [Measure]
     / [If_bit] each occupy one slot, an [If_bit]'s body follows its slot,
-    spans are weightless, and a [Call] counts as its inline expansion. The
-    simulator tracks the same numbering during execution (taken or not), so
-    a site is hit at most once per run regardless of which branches fire.
+    spans are weightless, and a [Call] counts as its inline expansion. This
+    is the instruction's index in the circuit's {!Tape}, which the simulator
+    executes, so a site is hit at most once per run regardless of which
+    branches fire.
 
     Enumeration respects the sharing: every node stores its site and
     instruction counts in its {!Instr.summary}, so finding the [k]-th site

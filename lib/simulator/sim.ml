@@ -51,7 +51,7 @@ type event =
   | Span_enter of { label : string; path : string list }
   | Span_exit of { label : string; path : string list }
 
-type engine = Fast | Sparse | Reference
+type engine = Fast | Reference
 
 (* Every [run] without [?rng] gets its own freshly seeded generator: a
    shared global would make results depend on how many unseeded runs
@@ -70,159 +70,141 @@ let draw_outcome rng p1 =
   else if p1 >= 1.0 -. 1e-12 then true
   else Random.State.float rng 1.0 < p1
 
-(* Mutable gate tally for the run loop: integer bumps instead of a fresh
-   Counts.t record per gate. *)
-type tally = {
-  mutable t_x : int;
-  mutable t_z : int;
-  mutable t_h : int;
-  mutable t_phase : int;
-  mutable t_cnot : int;
-  mutable t_cz : int;
-  mutable t_swap : int;
-  mutable t_toffoli : int;
-  mutable t_cphase : int;
-  mutable t_measure : int;
-}
+(* A fault plan resolved against the tape: the faults at each tape index,
+   sorted by index (Paulis in plan order), and the flipped outcome bits. *)
+type positional = { at : int; paulis : Gate.t list; count : int; skip : bool }
 
-let tally_gate t = function
-  | Gate.X _ -> t.t_x <- t.t_x + 1
-  | Gate.Z _ -> t.t_z <- t.t_z + 1
-  | Gate.H _ -> t.t_h <- t.t_h + 1
-  | Gate.Phase _ -> t.t_phase <- t.t_phase + 1
-  | Gate.Cnot _ -> t.t_cnot <- t.t_cnot + 1
-  | Gate.Cz _ -> t.t_cz <- t.t_cz + 1
-  | Gate.Swap _ -> t.t_swap <- t.t_swap + 1
-  | Gate.Toffoli _ -> t.t_toffoli <- t.t_toffoli + 1
-  | Gate.Cphase _ -> t.t_cphase <- t.t_cphase + 1
+let resolve = function
+  | [] -> ([||], [])
+  | faults ->
+      let tbl = Hashtbl.create 8 in
+      let update pos f =
+        Hashtbl.replace tbl pos
+          (f
+             (Option.value (Hashtbl.find_opt tbl pos)
+                ~default:{ at = pos; paulis = []; count = 0; skip = false }))
+      in
+      let flips =
+        List.filter_map
+          (function
+            | Fault.Pauli_after { pos; qubit; pauli } ->
+                update pos (fun p ->
+                    { p with paulis = p.paulis @ Fault.pauli_gates pauli qubit;
+                             count = p.count + 1 });
+                None
+            | Fault.Skip_block { pos } ->
+                update pos (fun p -> { p with skip = true });
+                None
+            | Fault.Flip_outcome { bit } -> Some bit)
+          faults
+      in
+      let plan = Array.of_seq (Hashtbl.to_seq_values tbl) in
+      Array.sort (fun a b -> compare a.at b.at) plan;
+      (plan, flips)
 
 let counts_of_tally t =
-  { Counts.x = float_of_int t.t_x;
-    z = float_of_int t.t_z;
-    h = float_of_int t.t_h;
-    phase = float_of_int t.t_phase;
-    cnot = float_of_int t.t_cnot;
-    cz = float_of_int t.t_cz;
-    swap = float_of_int t.t_swap;
-    toffoli = float_of_int t.t_toffoli;
-    cphase = float_of_int t.t_cphase;
-    measure = float_of_int t.t_measure }
+  { Counts.x = float_of_int t.(0);
+    z = float_of_int t.(1);
+    h = float_of_int t.(2);
+    phase = float_of_int t.(3);
+    cnot = float_of_int t.(4);
+    cz = float_of_int t.(5);
+    swap = float_of_int t.(6);
+    toffoli = float_of_int t.(7);
+    cphase = float_of_int t.(8);
+    measure = float_of_int t.(9) }
 
+(* One loop over the circuit's tape serves every engine and option. A
+   plain run touches only the op array: fault, hook and budget work sits
+   behind booleans computed once per run. *)
 let run ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) ?max_terms
     (c : Circuit.t) ~init =
   let rng = match rng with Some r -> r | None -> fresh_rng () in
   if State.num_qubits init < c.num_qubits then
     Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit";
+  let tape = Circuit.tape c in
+  let n = Tape.length tape in
   let bits = Array.make (max c.num_bits 1) false in
-  let executed =
-    { t_x = 0; t_z = 0; t_h = 0; t_phase = 0; t_cnot = 0; t_cz = 0;
-      t_swap = 0; t_toffoli = 0; t_cphase = 0; t_measure = 0 }
-  in
-  (* The runner owns a private copy, so the fast engines can mutate it in
-     place; [Sparse] and [Reference] pin it to the sparse track. *)
+  (* Executed ops per Tape kind code; gates first, measurements at 9. *)
+  let tally = Array.make 10 0 in
+  (* The runner owns a private copy, so [Fast] can mutate it in place. *)
+  let fast = engine = Fast in
   let state = ref (State.copy init) in
-  if engine <> Fast then State.force_sparse !state;
   let apply_gate g =
-    match engine with
-    | Fast | Sparse -> State.apply_gate_inplace !state g
-    | Reference -> state := State.Reference.apply_gate !state g
+    if fast then State.apply_gate_inplace !state g
+    else state := State.Reference.apply_gate !state g
   in
-  let project ~qubit ~value =
-    match engine with
-    | Fast | Sparse -> State.project_inplace !state ~qubit ~value
-    | Reference -> state := State.Reference.project !state ~qubit ~value
+  let plan, flips = resolve faults in
+  let has_plan = Array.length plan > 0 in
+  let next = ref 0 in
+  (* Index into [plan] of the faults at tape index [i], or -1. Execution
+     only moves forward, so faults behind [i] can never fire again. *)
+  let fault_at i =
+    while !next < Array.length plan && plan.(!next).at < i do incr next done;
+    if !next < Array.length plan && plan.(!next).at = i then !next else -1
   in
-  let set_bit_zero ~qubit =
-    match engine with
-    | Fast | Sparse -> State.set_bit_zero_inplace !state ~qubit
-    | Reference -> state := State.Reference.set_bit_zero !state ~qubit
-  in
-  (* Fault plan, indexed for O(1) lookup during execution. Pauli and skip
-     faults key on the static instruction position (Fault's site
-     numbering, which matches [Instr.count_instrs]); outcome flips key on
-     the classical bit, which is unique per measurement. *)
-  let pauli_at : (int, int * Gate.t list) Hashtbl.t = Hashtbl.create 8 in
-  let flip_bit : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let skip_at : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (function
-      | Fault.Pauli_after { pos; qubit; pauli } ->
-          let n, gs =
-            Option.value (Hashtbl.find_opt pauli_at pos) ~default:(0, [])
-          in
-          Hashtbl.replace pauli_at pos
-            (n + 1, gs @ Fault.pauli_gates pauli qubit)
-      | Fault.Flip_outcome { bit } -> Hashtbl.replace flip_bit bit ()
-      | Fault.Skip_block { pos } -> Hashtbl.replace skip_at pos ())
-    faults;
-  (* Position tracking costs an [Instr.count_instrs] per untaken branch, so
-     it only runs when a positional fault could fire. *)
-  let need_pos = faults <> [] in
   let injected = ref 0 in
-  (* Hoist the hook check out of the per-instruction loop: when no hook is
-     installed, every event site below is a single always-false branch on
-     an immutable bool (and no event block is ever allocated) instead of a
-     per-event option match. *)
+  (* Hoist the hook check out of the loop: without a hook every event site
+     is one always-false branch and no event block is allocated. *)
   let hooked, emit =
     match on_event with Some f -> (true, f) | None -> (false, ignore)
   in
-  let track_path = hooked || Option.is_some max_terms in
-  let t_start = Telemetry.now () in
-  let gc_start = Gc.quick_stat () in
-  let branches = ref 0 in
-  let branches_taken = ref 0 in
-  let peak_terms = ref (State.support_size !state) in
-  let check_budget path =
-    match max_terms with
-    | Some limit ->
-        let actual = State.support_size !state in
-        if actual > limit then
-          Mbu_error.resource_limit ~path ~limit ~actual ~subsystem:"Sim.run"
-            "sparse state exceeds the term budget"
-    | None -> ()
+  let budgeted, limit =
+    match max_terms with Some l -> (true, l) | None -> (false, max_int)
   in
-  (* [exec path pos instrs] returns the static position one past [instrs].
-     Event blocks are allocated only when a hook is installed. *)
-  let rec exec path pos = function
-    | [] -> pos
-    | Instr.Gate g :: rest ->
-        apply_gate g;
-        tally_gate executed g;
-        if hooked then emit (Gate_applied g);
-        (if need_pos then
-           match Hashtbl.find_opt pauli_at pos with
-           | Some (n, gs) ->
-               (* Injected Paulis are faults, not program gates: applied
-                  through the engine but never tallied. *)
-               List.iter apply_gate gs;
-               injected := !injected + n
-           | None -> ());
-        check_budget path;
-        exec path (pos + 1) rest
-    | Instr.Measure { qubit; bit; reset } :: rest ->
+  (* Span paths come from the tape's event table, read only by hooked or
+     budgeted runs; [ev] is the next span event, [rpath] the open spans,
+     innermost first. *)
+  let spans = if hooked || budgeted then Tape.span_events tape else [||] in
+  let tracked = Array.length spans > 0 in
+  let ev = ref 0 and rpath = ref [] in
+  let spans_before i =
+    while !ev < Array.length spans && spans.(!ev).Tape.at <= i do
+      let e = spans.(!ev) in
+      if hooked then begin
+        let label = List.hd e.rpath and path = List.rev e.rpath in
+        emit
+          (if e.enter then Span_enter { label; path }
+           else Span_exit { label; path })
+      end;
+      rpath := if e.enter then e.rpath else List.tl e.rpath;
+      incr ev
+    done
+  in
+  let t_start = Telemetry.now () in
+  let minor0, _, major0 = Gc.counters () in
+  let branches = ref 0 and branches_taken = ref 0 in
+  let peak_terms = ref (State.support_size !state) in
+  let pc = ref 0 in
+  while !pc < n do
+    let i = !pc in
+    let op = Tape.op tape i in
+    if tracked then spans_before i;
+    pc := i + 1;
+    match Tape.kind op with
+    | Tape.Measure ->
+        let qubit = Tape.q0 op and bit = Tape.measure_bit op in
         (* Support size peaks just before a measurement collapses the
-           state, so sampling here (O(1)) catches the run's high-water
-           without a per-gate probe. *)
+           state, so sampling here catches the run's high-water without a
+           per-gate probe. *)
         let terms = State.support_size !state in
         if terms > !peak_terms then peak_terms := terms;
         let p1 = State.prob_bit_one !state qubit in
+        let forced = match force with Some f -> f bit | None -> None in
         let outcome =
-          match force with
-          | Some f -> (
-              match f bit with
-              | Some v ->
-                  if (if v then p1 <= 1e-12 else p1 >= 1.0 -. 1e-12) then
-                    Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit ~path
-                      (Printf.sprintf
-                         "forced outcome %b has probability zero"
-                         v)
-                  else v
-              | None -> draw_outcome rng p1)
+          match forced with
+          | Some v ->
+              if (if v then p1 <= 1e-12 else p1 >= 1.0 -. 1e-12) then
+                Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit
+                  ~path:(List.rev !rpath)
+                  (Printf.sprintf "forced outcome %b has probability zero" v);
+              v
           | None -> draw_outcome rng p1
         in
-        project ~qubit ~value:outcome;
+        if fast then State.project_inplace !state ~qubit ~value:outcome
+        else state := State.Reference.project !state ~qubit ~value:outcome;
         let recorded =
-          if need_pos && Hashtbl.mem flip_bit bit then begin
+          if flips <> [] && List.mem bit flips then begin
             incr injected;
             not outcome
           end
@@ -232,15 +214,18 @@ let run ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) ?max_terms
         (* Reset is an X conditioned on the *recorded* outcome, so a
            misread fault leaves the qubit physically wrong — exactly the
            failure mode the campaigns probe. *)
-        if reset && recorded then
-          if outcome then set_bit_zero ~qubit else apply_gate (Gate.X qubit);
-        executed.t_measure <- executed.t_measure + 1;
-        if hooked then emit (Measured { qubit; bit; outcome = recorded });
-        exec path (pos + 1) rest
-    | Instr.If_bit { bit; value; body } :: rest ->
+        if Tape.measure_reset op && recorded then
+          if not outcome then apply_gate (Gate.X qubit)
+          else if fast then State.set_bit_zero_inplace !state ~qubit
+          else state := State.Reference.set_bit_zero !state ~qubit;
+        tally.(9) <- tally.(9) + 1;
+        if hooked then emit (Measured { qubit; bit; outcome = recorded })
+    | Tape.If_bit ->
+        let bit = Tape.if_bit op and value = Tape.if_value op in
         let taken = bits.(bit) = value in
         let taken =
-          if need_pos && Hashtbl.mem skip_at pos then begin
+          if has_plan && (let f = fault_at i in f >= 0 && plan.(f).skip)
+          then begin
             if taken then incr injected;
             false
           end
@@ -249,51 +234,68 @@ let run ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) ?max_terms
         incr branches;
         if taken then incr branches_taken;
         if hooked then emit (Branch { bit; value; taken });
-        let pos_end =
-          if taken then exec path (pos + 1) body
-          else if need_pos then pos + 1 + Instr.count_instrs body
-          else pos
-        in
-        exec path pos_end rest
-    | Instr.Span { label; body; _ } :: rest ->
-        let pos =
-          if track_path then begin
-            let spath = path @ [ label ] in
-            if hooked then emit (Span_enter { label; path = spath });
-            let p = exec spath pos body in
-            if hooked then emit (Span_exit { label; path = spath });
-            p
-          end
-          else exec path pos body
-        in
-        exec path pos rest
-    | Instr.Call { body; _ } :: rest ->
-        (* Lazy expansion: a reference executes its body in place; nothing
-           is materialized, so sharing is free at simulation time too. *)
-        let pos = exec path pos body in
-        exec path pos rest
-  in
-  ignore (exec [] 0 c.instrs);
-  (* Per-run telemetry lands once per run, not per instruction, so the
-     hot loop above pays nothing for it. GC deltas use [Gc.quick_stat]
-     (cheap, and per-domain on OCaml 5, so a shot's delta is its own
-     allocation even under the parallel runner). *)
+        if not taken then begin
+          let stop = i + 1 + Tape.if_skip op in
+          (* Span events inside the skipped body never fire. *)
+          if tracked then
+            while
+              !ev < Array.length spans
+              && spans.(!ev).Tape.guard >= i
+              && spans.(!ev).Tape.guard < stop
+            do
+              incr ev
+            done;
+          pc := stop
+        end
+    | k ->
+        let s = !state in
+        (if not fast then state := State.Reference.apply_gate s (Tape.gate tape op)
+         else
+           match k with
+           | Tape.X -> State.x s (Tape.q0 op)
+           | Tape.Z -> State.z s (Tape.q0 op)
+           | Tape.H -> State.h s (Tape.q0 op)
+           | Tape.Phase -> State.phase s (Tape.q0 op) (Tape.phase tape op)
+           | Tape.Cnot -> State.cnot s (Tape.q0 op) (Tape.q1 op)
+           | Tape.Cz -> State.cz s (Tape.q0 op) (Tape.q1 op)
+           | Tape.Swap -> State.swap s (Tape.q0 op) (Tape.q1 op)
+           | Tape.Toffoli -> State.toffoli s (Tape.q0 op) (Tape.q1 op) (Tape.q2 op)
+           | Tape.Cphase ->
+               State.cphase s (Tape.q0 op) (Tape.q1 op) (Tape.phase tape op)
+           | Tape.Measure | Tape.If_bit -> assert false);
+        let kc = Tape.code k in
+        tally.(kc) <- tally.(kc) + 1;
+        if hooked then emit (Gate_applied (Tape.gate tape op));
+        (if has_plan then
+           let f = fault_at i in
+           if f >= 0 then begin
+             (* Injected Paulis are faults, not program gates: applied
+                through the engine but never tallied. *)
+             List.iter apply_gate plan.(f).paulis;
+             injected := !injected + plan.(f).count
+           end);
+        if budgeted then begin
+          let actual = State.support_size !state in
+          if actual > limit then
+            Mbu_error.resource_limit ~path:(List.rev !rpath) ~limit ~actual
+              ~subsystem:"Sim.run" "sparse state exceeds the term budget"
+        end
+  done;
+  if tracked then spans_before n;
+  (* Per-run telemetry lands once per run, not per op. [Gc.counters] reads
+     the calling domain's allocation counters, so a shot's delta is its
+     own allocation even under the parallel runner. *)
   Telemetry.incr m_runs;
   Telemetry.observe m_run_seconds (Telemetry.now () -. t_start);
-  let gc_end = Gc.quick_stat () in
-  Telemetry.add m_gc_minor_words
-    (max 0 (int_of_float (gc_end.Gc.minor_words -. gc_start.Gc.minor_words)));
-  Telemetry.add m_gc_major_words
-    (max 0 (int_of_float (gc_end.Gc.major_words -. gc_start.Gc.major_words)));
-  Telemetry.add m_gates
-    (executed.t_x + executed.t_z + executed.t_h + executed.t_phase
-   + executed.t_cnot + executed.t_cz + executed.t_swap + executed.t_toffoli
-   + executed.t_cphase);
-  Telemetry.add m_measurements executed.t_measure;
+  let minor1, _, major1 = Gc.counters () in
+  Telemetry.add m_gc_minor_words (max 0 (int_of_float (minor1 -. minor0)));
+  Telemetry.add m_gc_major_words (max 0 (int_of_float (major1 -. major0)));
+  Telemetry.add m_gates (Array.fold_left ( + ) 0 tally - tally.(9));
+  Telemetry.add m_measurements tally.(9);
   Telemetry.add m_branches !branches;
   Telemetry.add m_branches_taken !branches_taken;
   Telemetry.observe_max m_peak_terms !peak_terms;
-  { state = !state; bits; executed = counts_of_tally executed;
+  { state = !state; bits; executed = counts_of_tally tally;
     injected = !injected }
 
 let init_registers ~num_qubits assignments =

@@ -35,19 +35,19 @@ type event =
   | Span_enter of { label : string; path : string list }
   | Span_exit of { label : string; path : string list }
 
-(** Which state backend executes the circuit. All three draw measurement
-    outcomes from the same RNG stream and agree on every run (the
+(** Which state backend executes the circuit. Both run the same loop over
+    the circuit's compiled {!Mbu_circuit.Tape.t}, draw measurement outcomes
+    from the same RNG stream and agree on every run (the
     backend-equivalence property tests enforce this); they differ only in
     speed.
 
-    - [Fast] (default): classical track for single-basis-vector states
-      (O(1) permutation gates, zero allocation) with automatic promotion to
-      the in-place sparse kernel under superposition and demotion back.
-    - [Sparse]: pin the state to the in-place sparse kernel for the whole
-      run, even where the classical track would apply.
+    - [Fast] (default): the classical product track (basis wires plus
+      wires in |+> / |->, O(1) permutation gates, zero allocation) with
+      automatic promotion to the in-place sparse kernel on states it cannot
+      express, and demotion back.
     - [Reference]: the seed simulator's pure rebuild-per-gate algorithms —
       the oracle for equivalence tests and the benchmark baseline. *)
-type engine = Fast | Sparse | Reference
+type engine = Fast | Reference
 
 val run :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
@@ -68,10 +68,10 @@ val run :
 
     [faults] injects the given {!Mbu_circuit.Fault.t} plan: Pauli and skip
     faults fire when execution reaches their static position (see [Fault]
-    for the numbering — branches not taken advance the position past their
-    bodies), outcome flips corrupt the {e recorded} bit of the matching
-    measurement while the projection (and a reset's conditional X, which
-    keys on the recorded value) follow the fault. Injected Paulis are not
+    for the numbering, which is the circuit's tape index — branches not
+    taken jump past their bodies), outcome flips corrupt the {e recorded}
+    bit of the matching measurement while the projection (and a reset's
+    conditional X, which keys on the recorded value) follow the fault. Injected Paulis are not
     counted in [executed].
 
     [max_terms] bounds the state's sparse support; the first gate that

@@ -2,27 +2,42 @@ open Mbu_circuit
 
 (* Two representations ("tracks"):
 
-   - [Classical]: a single basis vector stored as a plain [int] plus its
-     (global-phase) amplitude. X / CNOT / Toffoli / Swap are O(1) bit
-     twiddles with zero allocation; diagonal gates multiply the amplitude.
-     MBU circuits are overwhelmingly in this regime.
+   - [Classical]: a product state. Wires outside [xmask] hold the basis
+     value in [idx]; wires in [xmask] hold |+> (or |-> when also in
+     [xminus]); the whole is scaled by [amp], negated when the [sign] bit
+     of [xminus] is set.
+     X / CNOT / Toffoli / Swap on basis wires are O(1) bit twiddles; H
+     moves a wire between the basis and the X basis; a permutation gate
+     targeting an X-basis wire and a Z-type gate on one only flip a sign.
+     None of these allocate. This is where MBU circuits live: the lemma's
+     H-measure leaves the garbage wire in |->, so the correction's phase
+     kickback is a sign.
    - [Sparse]: the general finite map from basis index to amplitude.
      Permutation and diagonal gates mutate the table in place; only H
      double-buffers into a fresh table.
 
-   H on a classical state promotes to sparse; whenever a sparse table
-   collapses back to a single term (H recombination, projection, reset) the
-   state demotes back to classical — unless [pinned] was set, which keeps a
-   state on the sparse track so tests and benchmarks can exercise the sparse
-   kernel on circuits that would otherwise stay classical. *)
+   Any other gate touching an X-basis wire (a control, a phase, an
+   entangling pair) promotes to sparse; whenever a sparse table collapses
+   back to a single term (H recombination, projection, reset) the state
+   demotes back to classical. *)
 
 type repr =
-  | Classical of { mutable idx : int; mutable amp : Complex.t }
+  | Classical of {
+      mutable idx : int;  (* basis wires; 0 on [xmask] wires *)
+      mutable amp : Complex.t;
+      mutable xmask : int;  (* wires in |+> or |-> *)
+      mutable xminus : int;  (* the [xmask] wires in |->, and [sign] *)
+    }
   | Sparse of (int, Complex.t) Hashtbl.t
 
-type t = { num_qubits : int; mutable repr : repr; mutable pinned : bool }
+type t = { num_qubits : int; mutable repr : repr }
+
+(* Bit 62 of [xminus] negates [amp], so a sign flip never allocates. States
+   have at most 62 wires, so no wire uses it. *)
+let sign = min_int
 
 let eps = 1e-12
+let inv_sqrt2 = 1.0 /. sqrt 2.0
 let num_qubits s = s.num_qubits
 
 let check_range ~num_qubits idx =
@@ -30,17 +45,18 @@ let check_range ~num_qubits idx =
   if idx < 0 || (num_qubits < 62 && idx >= 1 lsl num_qubits) then
     invalid_arg "State: basis index out of range"
 
+let classical idx amp = Classical { idx; amp; xmask = 0; xminus = 0 }
+
 let basis ~num_qubits idx =
   check_range ~num_qubits idx;
-  { num_qubits; repr = Classical { idx; amp = Complex.one }; pinned = false }
+  { num_qubits; repr = classical idx Complex.one }
 
 let maybe_demote s =
-  if not s.pinned then
-    match s.repr with
-    | Classical _ -> ()
-    | Sparse tbl ->
-        if Hashtbl.length tbl = 1 then
-          Hashtbl.iter (fun k v -> s.repr <- Classical { idx = k; amp = v }) tbl
+  match s.repr with
+  | Classical _ -> ()
+  | Sparse tbl ->
+      if Hashtbl.length tbl = 1 then
+        Hashtbl.iter (fun k v -> s.repr <- classical k v) tbl
 
 let of_alist ~num_qubits l =
   let amps = Hashtbl.create (max 16 (List.length l)) in
@@ -50,14 +66,45 @@ let of_alist ~num_qubits l =
       if Hashtbl.mem amps idx then invalid_arg "State.of_alist: repeated index";
       Hashtbl.replace amps idx a)
     l;
-  let s = { num_qubits; repr = Sparse amps; pinned = false } in
+  let s = { num_qubits; repr = Sparse amps } in
   maybe_demote s;
   s
 
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* A product state has one term per subset of its X-basis wires, each
+   scaled by 1/sqrt 2 per X-basis wire (applied one factor at a time, as
+   successive H gates would) and negated once per |-> wire in the subset. *)
 let iter_amps s f =
   match s.repr with
-  | Classical { idx; amp } -> f idx amp
   | Sparse tbl -> Hashtbl.iter f tbl
+  | Classical { idx; amp; xmask; xminus } ->
+      let scaled = ref (if xminus < 0 then Complex.neg amp else amp) in
+      for _ = 1 to popcount xmask do
+        scaled := Complex.mul { Complex.re = inv_sqrt2; im = 0. } !scaled
+      done;
+      let rec subsets sub =
+        let v = !scaled in
+        f (idx lor sub)
+          (if popcount (sub land xminus) land 1 = 1 then Complex.neg v else v);
+        let next = (sub - xmask) land xmask in
+        if next <> 0 then subsets next
+      in
+      subsets 0
+
+let to_table s =
+  match s.repr with
+  | Sparse tbl -> tbl
+  | Classical _ ->
+      let tbl = Hashtbl.create 16 in
+      iter_amps s (Hashtbl.replace tbl);
+      tbl
+
+(* Leave the product track; the sparse kernels take it from there. *)
+let promote s =
+  let tbl = to_table s in
+  s.repr <- Sparse tbl;
+  tbl
 
 let to_alist s =
   let acc = ref [] in
@@ -67,7 +114,9 @@ let to_alist s =
 let num_terms s = List.length (to_alist s)
 
 let support_size s =
-  match s.repr with Classical _ -> 1 | Sparse tbl -> Hashtbl.length tbl
+  match s.repr with
+  | Classical { xmask; _ } -> 1 lsl popcount xmask
+  | Sparse tbl -> Hashtbl.length tbl
 
 let norm2 s =
   let acc = ref 0. in
@@ -80,25 +129,17 @@ let copy s =
   { s with
     repr =
       (match s.repr with
-      | Classical { idx; amp } -> Classical { idx; amp }
+      | Classical { idx; amp; xmask; xminus } ->
+          Classical { idx; amp; xmask; xminus }
       | Sparse tbl -> Sparse (Hashtbl.copy tbl)) }
 
 let is_classical s = match s.repr with Classical _ -> true | Sparse _ -> false
 
-let force_sparse s =
-  (match s.repr with
-  | Sparse _ -> ()
-  | Classical { idx; amp } ->
-      let tbl = Hashtbl.create 16 in
-      Hashtbl.replace tbl idx amp;
-      s.repr <- Sparse tbl);
-  s.pinned <- true
-
-let scale_inplace s c =
+let scale_inplace s w =
   match s.repr with
-  | Classical cl -> cl.amp <- Complex.mul c cl.amp
+  | Classical c -> c.amp <- Complex.mul w c.amp
   | Sparse tbl ->
-      Hashtbl.filter_map_inplace (fun _ v -> Some (Complex.mul c v)) tbl
+      Hashtbl.filter_map_inplace (fun _ v -> Some (Complex.mul w v)) tbl
 
 let normalize s =
   let n = norm s in
@@ -140,9 +181,11 @@ let permute_involution tbl cond mask =
         | None, _ -> ())
     keys
 
+let map_diagonal tbl cond f =
+  Hashtbl.filter_map_inplace (fun k v -> Some (if cond k then f v else v)) tbl
+
 (* H double-buffers: the only gate that can merge or split terms. *)
 let h_table src q =
-  let r = 1.0 /. sqrt 2.0 in
   let amps = Hashtbl.create (2 * Hashtbl.length src) in
   let accum k v =
     if Complex.norm v > eps then
@@ -155,7 +198,7 @@ let h_table src q =
   in
   Hashtbl.iter
     (fun k v ->
-      let scaled = Complex.mul { Complex.re = r; im = 0. } v in
+      let scaled = Complex.mul { Complex.re = inv_sqrt2; im = 0. } v in
       if bit k q then begin
         accum (k lxor (1 lsl q)) scaled;
         accum k (Complex.neg scaled)
@@ -167,76 +210,97 @@ let h_table src q =
     src;
   amps
 
-let apply_gate_inplace s g =
+(* ------------------------------------------------------------------ *)
+(* Gate kernels, one per gate kind, so a caller holding decoded operands
+   never builds a [Gate.t]. On the product track a gate's controls are a
+   wire mask [m]: it fires when every wire of [m] is a basis wire set to 1.
+   X on an X-basis wire is a sign on |-> and nothing on |+>, so the
+   controlled permutations reduce to it once their controls are basis
+   wires. *)
+
+let all_set idx m = idx land m = m
+
+let x s q =
   match s.repr with
-  | Classical c -> (
-      match g with
-      | Gate.X q -> c.idx <- c.idx lxor (1 lsl q)
-      | Gate.Cnot { control; target } ->
-          if bit c.idx control then c.idx <- c.idx lxor (1 lsl target)
-      | Gate.Toffoli { c1; c2; target } ->
-          if bit c.idx c1 && bit c.idx c2 then c.idx <- c.idx lxor (1 lsl target)
-      | Gate.Swap (a, b) ->
-          if bit c.idx a <> bit c.idx b then
-            c.idx <- c.idx lxor (1 lsl a) lxor (1 lsl b)
-      | Gate.Z q -> if bit c.idx q then c.amp <- Complex.neg c.amp
-      | Gate.Cz (a, b) ->
-          if bit c.idx a && bit c.idx b then c.amp <- Complex.neg c.amp
-      | Gate.Phase (q, p) ->
-          if bit c.idx q then c.amp <- Complex.mul (phase_of p) c.amp
-      | Gate.Cphase { control; target; phase } ->
-          if bit c.idx control && bit c.idx target then
-            c.amp <- Complex.mul (phase_of phase) c.amp
-      | Gate.H q ->
-          (* Promote: a single term always splits into exactly two. *)
-          let r = 1.0 /. sqrt 2.0 in
-          let scaled = Complex.mul { Complex.re = r; im = 0. } c.amp in
-          let tbl = Hashtbl.create 16 in
-          if bit c.idx q then begin
-            Hashtbl.replace tbl (c.idx lxor (1 lsl q)) scaled;
-            Hashtbl.replace tbl c.idx (Complex.neg scaled)
-          end
-          else begin
-            Hashtbl.replace tbl c.idx scaled;
-            Hashtbl.replace tbl (c.idx lxor (1 lsl q)) scaled
-          end;
-          s.repr <- Sparse tbl)
-  | Sparse tbl -> (
-      match g with
-      | Gate.X q -> permute_involution tbl (fun _ -> true) (1 lsl q)
-      | Gate.Cnot { control; target } ->
-          permute_involution tbl (fun k -> bit k control) (1 lsl target)
-      | Gate.Toffoli { c1; c2; target } ->
-          permute_involution tbl
-            (fun k -> bit k c1 && bit k c2)
-            (1 lsl target)
-      | Gate.Swap (a, b) ->
-          permute_involution tbl
-            (fun k -> bit k a <> bit k b)
-            ((1 lsl a) lor (1 lsl b))
-      | Gate.Z q ->
-          Hashtbl.filter_map_inplace
-            (fun k v -> Some (if bit k q then Complex.neg v else v))
-            tbl
-      | Gate.Cz (a, b) ->
-          Hashtbl.filter_map_inplace
-            (fun k v -> Some (if bit k a && bit k b then Complex.neg v else v))
-            tbl
-      | Gate.Phase (q, p) ->
-          let w = phase_of p in
-          Hashtbl.filter_map_inplace
-            (fun k v -> Some (if bit k q then Complex.mul w v else v))
-            tbl
-      | Gate.Cphase { control; target; phase } ->
-          let w = phase_of phase in
-          Hashtbl.filter_map_inplace
-            (fun k v ->
-              Some
-                (if bit k control && bit k target then Complex.mul w v else v))
-            tbl
-      | Gate.H q ->
-          s.repr <- Sparse (h_table tbl q);
-          maybe_demote s)
+  | Classical c ->
+      let t = 1 lsl q in
+      if c.xmask land t = 0 then c.idx <- c.idx lxor t
+      else if c.xminus land t <> 0 then c.xminus <- c.xminus lxor sign
+  | Sparse tbl -> permute_involution tbl (fun _ -> true) (1 lsl q)
+
+let controlled_x s m target =
+  match s.repr with
+  | Classical c when c.xmask land m = 0 -> if all_set c.idx m then x s target
+  | _ -> permute_involution (promote s) (fun k -> all_set k m) (1 lsl target)
+
+let cnot s control target = controlled_x s (1 lsl control) target
+let toffoli s c1 c2 target = controlled_x s ((1 lsl c1) lor (1 lsl c2)) target
+
+let swap s a b =
+  let m = (1 lsl a) lor (1 lsl b) in
+  match s.repr with
+  | Classical c when c.xmask land m = 0 ->
+      if bit c.idx a <> bit c.idx b then c.idx <- c.idx lxor m
+  | _ -> permute_involution (promote s) (fun k -> bit k a <> bit k b) m
+
+(* Z swaps |+> and |->. *)
+let z s q =
+  match s.repr with
+  | Classical c ->
+      let t = 1 lsl q in
+      if c.xmask land t <> 0 then c.xminus <- c.xminus lxor t
+      else if c.idx land t <> 0 then c.xminus <- c.xminus lxor sign
+  | Sparse tbl -> map_diagonal tbl (fun k -> bit k q) Complex.neg
+
+(* CZ with one X-basis wire is a Z on it when the other wire is 1. *)
+let cz s a b =
+  let m = (1 lsl a) lor (1 lsl b) in
+  match s.repr with
+  | Classical c when c.xmask land m <> m ->
+      if bit c.xmask a then (if bit c.idx b then z s a)
+      else if bit c.xmask b then (if bit c.idx a then z s b)
+      else if all_set c.idx m then c.xminus <- c.xminus lxor sign
+  | _ -> map_diagonal (promote s) (fun k -> all_set k m) Complex.neg
+
+let controlled_phase s m p =
+  match s.repr with
+  | Classical c when c.xmask land m = 0 ->
+      if all_set c.idx m then c.amp <- Complex.mul (phase_of p) c.amp
+  | _ -> map_diagonal (promote s) (fun k -> all_set k m) (Complex.mul (phase_of p))
+
+let phase s q p = controlled_phase s (1 lsl q) p
+let cphase s control target p =
+  controlled_phase s ((1 lsl control) lor (1 lsl target)) p
+
+(* H|0> = |+>, H|1> = |->, and back. *)
+let h s q =
+  match s.repr with
+  | Classical c ->
+      let m = 1 lsl q in
+      if c.xmask land m <> 0 then begin
+        c.xmask <- c.xmask lxor m;
+        c.idx <- c.idx lor (c.xminus land m);
+        c.xminus <- c.xminus land lnot m
+      end
+      else begin
+        c.xmask <- c.xmask lor m;
+        c.xminus <- c.xminus lor (c.idx land m);
+        c.idx <- c.idx land lnot m
+      end
+  | Sparse tbl ->
+      s.repr <- Sparse (h_table tbl q);
+      maybe_demote s
+
+let apply_gate_inplace s = function
+  | Gate.X q -> x s q
+  | Gate.Z q -> z s q
+  | Gate.H q -> h s q
+  | Gate.Phase (q, p) -> phase s q p
+  | Gate.Cnot { control; target } -> cnot s control target
+  | Gate.Cz (a, b) -> cz s a b
+  | Gate.Swap (a, b) -> swap s a b
+  | Gate.Toffoli { c1; c2; target } -> toffoli s c1 c2 target
+  | Gate.Cphase { control; target; phase = p } -> cphase s control target p
 
 let apply_gate s g =
   let s = copy s in
@@ -244,14 +308,27 @@ let apply_gate s g =
   s
 
 let prob_bit_one s q =
-  let p = ref 0. in
-  iter_amps s (fun k v -> if bit k q then p := !p +. Complex.norm2 v);
-  !p /. norm2 s
+  match s.repr with
+  | Classical c -> if bit c.xmask q then 0.5 else if bit c.idx q then 1. else 0.
+  | Sparse _ ->
+      let p = ref 0. in
+      iter_amps s (fun k v -> if bit k q then p := !p +. Complex.norm2 v);
+      !p /. norm2 s
 
 let project_inplace s ~qubit ~value =
   match s.repr with
   | Classical c ->
-      if bit c.idx qubit <> value then
+      if bit c.xmask qubit then begin
+        (* |-> = (|0> - |1>)/sqrt 2 keeps its sign on the |1> branch *)
+        let m = 1 lsl qubit in
+        if value then begin
+          c.idx <- c.idx lor m;
+          if bit c.xminus qubit then c.xminus <- c.xminus lxor sign
+        end;
+        c.xmask <- c.xmask lxor m;
+        c.xminus <- c.xminus land lnot m
+      end
+      else if bit c.idx qubit <> value then
         invalid_arg "State.project: zero-probability outcome";
       let n = Complex.norm c.amp in
       if n < eps then invalid_arg "State.project: zero-probability outcome";
@@ -281,8 +358,10 @@ let project s ~qubit ~value =
    [Hashtbl.replace] silently dropped one of the two amplitudes. *)
 let set_bit_zero_inplace s ~qubit =
   match s.repr with
-  | Classical c -> c.idx <- c.idx land lnot (1 lsl qubit)
-  | Sparse tbl ->
+  | Classical c when not (bit c.xmask qubit) ->
+      c.idx <- c.idx land lnot (1 lsl qubit)
+  | _ ->
+      let tbl = promote s in
       let mask = 1 lsl qubit in
       let moved = ref [] in
       Hashtbl.iter
@@ -310,21 +389,18 @@ let set_bit_zero s ~qubit =
 let fidelity a b =
   if a.num_qubits <> b.num_qubits then invalid_arg "State.fidelity";
   let na = norm a and nb = norm b in
-  let find_b k =
-    match b.repr with
-    | Classical { idx; amp } -> if idx = k then Some amp else None
-    | Sparse tbl -> Hashtbl.find_opt tbl k
-  in
+  let tb = to_table b in
   let dot = ref Complex.zero in
   iter_amps a (fun k va ->
-      match find_b k with
+      match Hashtbl.find_opt tb k with
       | Some vb -> dot := Complex.add !dot (Complex.mul (Complex.conj va) vb)
       | None -> ());
   Complex.norm !dot /. (na *. nb)
 
 let classical_value s =
   match s.repr with
-  | Classical { idx; amp } -> if Complex.norm amp > eps then Some idx else None
+  | Classical { idx; amp; xmask; _ } ->
+      if xmask = 0 && Complex.norm amp > eps then Some idx else None
   | Sparse _ -> ( match to_alist s with [ (k, _) ] -> Some k | _ -> None)
 
 let bit_value s q =
@@ -338,7 +414,7 @@ let bit_value s q =
 (* Reference engine: the seed's pure rebuild-per-gate algorithms, kept as
    the oracle for the property tests comparing backends, and as the
    "before" baseline in the simulator benchmark. Always returns a sparse
-   state; [pinned] is inherited so it never demotes mid-circuit. *)
+   state and never demotes. *)
 
 module Reference = struct
   let sparse_of s =
@@ -346,7 +422,7 @@ module Reference = struct
     iter_amps s (fun k v -> Hashtbl.replace tbl k v);
     tbl
 
-  let wrap s tbl = { num_qubits = s.num_qubits; repr = Sparse tbl; pinned = s.pinned }
+  let wrap s tbl = { num_qubits = s.num_qubits; repr = Sparse tbl }
 
   let permute s f =
     let src = sparse_of s in

@@ -8,13 +8,18 @@
     time into superposition.
 
     Internally a state rides one of two tracks. The {e classical} track
-    stores a single basis vector as a plain [int] (plus its global-phase
-    amplitude) and applies permutation gates in O(1) with zero allocation.
-    H promotes to the {e sparse} track — a hash table mutated in place for
-    permutation and diagonal gates, double-buffered only for H — and the
-    state demotes back to classical as soon as the support collapses to one
-    term. Dense states (QFT circuits) are still exact, just limited to
-    small wire counts.
+    stores a product state: the basis value of most wires as a plain [int],
+    plus the wires held in |+> or |-> as two bit masks and a global-phase
+    amplitude. Permutation gates on basis wires are O(1) bit twiddles; H
+    moves a wire between the basis and the X basis; X / CNOT / Toffoli
+    targeting an X-basis wire, and Z or CZ on one, only flip a sign. None
+    of these allocate, which covers the X-basis measurement of the MBU
+    lemma and of Gidney's logical-AND erasure. Any other gate touching an
+    X-basis wire promotes to the {e sparse} track — a hash table mutated in
+    place for permutation and diagonal gates, double-buffered only for H —
+    and the state demotes back to classical as soon as the support
+    collapses to one term. Dense states (QFT circuits) are still exact,
+    just limited to small wire counts.
 
     The [*_inplace] operations mutate the state; the same-named pure
     functions copy first and are safe to use on shared states. *)
@@ -38,9 +43,10 @@ val to_alist : t -> (int * Complex.t) list
 val num_terms : t -> int
 
 val support_size : t -> int
-(** Number of stored amplitude entries — 1 on the classical track, the raw
-    hash-table size on the sparse track (negligible amplitudes included,
-    unlike {!num_terms}). O(1); this is the memory-cost figure the
+(** Number of amplitude entries the state stands for — 2{^k} on the
+    classical track with [k] wires in the X basis, the raw hash-table size
+    on the sparse track (negligible amplitudes included, unlike
+    {!num_terms}). O(k); this is the memory-cost figure the
     [Sim.run ?max_terms] budget compares against. *)
 
 val norm : t -> float
@@ -51,16 +57,27 @@ val copy : t -> t
     the original. *)
 
 val is_classical : t -> bool
-(** True while the state is on the classical (single basis vector) track. *)
-
-val force_sparse : t -> unit
-(** Move the state to the sparse track and pin it there: it will not demote
-    back to the classical track even when the support is a single term.
-    Used by tests and benchmarks to exercise the sparse kernel on circuits
-    that would otherwise stay classical. Copies inherit the pin. *)
+(** True while the state is on the classical (product) track: every wire
+    either a basis value or |+> / |->, no amplitude table. *)
 
 val apply_gate : t -> Gate.t -> t
 val apply_gate_inplace : t -> Gate.t -> unit
+
+(** {2 In-place gate kernels}
+
+    One per gate kind, taking the wires in {!Gate.t} field order, for
+    callers that hold decoded operands ({!apply_gate_inplace} dispatches
+    to them). *)
+
+val x : t -> Gate.qubit -> unit
+val z : t -> Gate.qubit -> unit
+val h : t -> Gate.qubit -> unit
+val phase : t -> Gate.qubit -> Phase.t -> unit
+val cnot : t -> Gate.qubit -> Gate.qubit -> unit
+val cz : t -> Gate.qubit -> Gate.qubit -> unit
+val swap : t -> Gate.qubit -> Gate.qubit -> unit
+val toffoli : t -> Gate.qubit -> Gate.qubit -> Gate.qubit -> unit
+val cphase : t -> Gate.qubit -> Gate.qubit -> Phase.t -> unit
 
 val prob_bit_one : t -> int -> float
 (** Probability that measuring the given wire yields 1. *)
@@ -92,7 +109,8 @@ val bit_value : t -> int -> bool option
 (** The seed simulator's pure rebuild-per-gate algorithms, kept verbatim
     (modulo the [set_bit_zero] collision fix) as the oracle for the
     backend-equivalence property tests and the "before" baseline of the
-    simulator benchmark. Results are always on the sparse track. *)
+    simulator benchmark. Results are always on the sparse track and never
+    demote. *)
 module Reference : sig
   val apply_gate : t -> Gate.t -> t
   val project : t -> qubit:int -> value:bool -> t

@@ -178,8 +178,8 @@ let test_depth_serial_vs_parallel () =
   let parallel =
     [ Instr.Gate (Gate.X 0); Instr.Gate (Gate.X 1); Instr.Gate (Gate.X 2) ]
   in
-  check_float "serial depth" 3. (Depth.of_instrs ~mode:`Worst serial).Depth.total;
-  check_float "parallel depth" 1. (Depth.of_instrs ~mode:`Worst parallel).Depth.total
+  check_float "serial depth" 3. (Depth.of_instrs ~mode:(`Expected 1.) serial).Depth.total;
+  check_float "parallel depth" 1. (Depth.of_instrs ~mode:(`Expected 1.) parallel).Depth.total
 
 let test_toffoli_depth () =
   let instrs =
@@ -189,7 +189,7 @@ let test_toffoli_depth () =
       (* independent toffoli on fresh wires shares a layer with the first *)
       Instr.Gate (Gate.Toffoli { c1 = 6; c2 = 7; target = 8 }) ]
   in
-  let d = Depth.of_instrs ~mode:`Worst instrs in
+  let d = Depth.of_instrs ~mode:(`Expected 1.) instrs in
   check_float "toffoli depth chains through cnot" 2. d.Depth.toffoli;
   check_float "total depth" 3. d.Depth.total
 
@@ -199,7 +199,7 @@ let test_depth_conditional () =
       Instr.If_bit
         { bit = 0; value = true; body = [ Instr.Gate (Gate.Z 1) ] } ]
   in
-  let worst = Depth.of_instrs ~mode:`Worst instrs in
+  let worst = Depth.of_instrs ~mode:(`Expected 1.) instrs in
   let expected = Depth.of_instrs ~mode:(`Expected 0.5) instrs in
   check_float "worst: measure then z" 2. worst.Depth.total;
   check_float "expected: measure then half z" 1.5 expected.Depth.total

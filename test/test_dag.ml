@@ -91,7 +91,7 @@ let test_metrics_match_tree () =
             (Printf.sprintf "%s/%s depth" name mname)
             true
             (d.Depth.total = t.Depth.total && d.Depth.toffoli = t.Depth.toffoli))
-        [ ("worst", `Worst); ("exp0", `Expected 0.); ("exp0.5", `Expected 0.5);
+        [ ("worst", `Expected 1.); ("exp0", `Expected 0.); ("exp0.5", `Expected 0.5);
           ("exp0.3", `Expected 0.3) ];
       Alcotest.(check int) (name ^ " max_qubit") (Instr.max_qubit tree)
         (Instr.max_qubit dag);

@@ -126,7 +126,7 @@ let prop_depth_bounds =
       let rng = Random.State.make [| num_qubits + 17; len |] in
       let c, _ = Test_optimize.random_circuit rng ~num_qubits ~len in
       let counts = Circuit.counts ~mode:Counts.Worst c in
-      let d = Depth.of_circuit ~mode:`Worst c in
+      let d = Depth.of_circuit ~mode:(`Expected 1.) c in
       d.Depth.toffoli <= counts.Counts.toffoli +. 1e-9
       && d.Depth.total
          <= Counts.total_gates counts +. counts.Counts.measure +. 1e-9

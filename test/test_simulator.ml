@@ -227,28 +227,56 @@ let test_init_registers_wide_guard () =
       ignore (Sim.init_registers ~num_qubits:3 [ (s, 8) ]))
 
 (* The classical track: permutation and diagonal gates keep a basis state
-   on the int representation; H promotes to sparse and recombination
-   demotes back; force_sparse pins the sparse kernel. *)
+   on the int representation; H moves a wire into |+> / |-> without leaving
+   the track and HH brings it back; a Toffoli targeting the |-> wire is a
+   sign; a CNOT controlled by it cannot be a product state and promotes to
+   sparse. Every step matches the rebuild-per-gate oracle amplitude for
+   amplitude. *)
 let test_classical_track_promotion () =
+  let same_amps name a b =
+    let ok =
+      List.equal
+        (fun (k, (u : Complex.t)) (k', (v : Complex.t)) ->
+          k = k' && Complex.norm (Complex.sub u v) < 1e-12)
+        (State.to_alist a) (State.to_alist b)
+    in
+    check_bool (name ^ " = oracle") true ok
+  in
+  let step s g =
+    let s' = State.apply_gate s g in
+    same_amps (Format.asprintf "%a" Gate.pp g) s' (State.Reference.apply_gate s g);
+    s'
+  in
   let s = State.basis ~num_qubits:3 0b001 in
   check_bool "basis is classical" true (State.is_classical s);
   let s =
-    List.fold_left State.apply_gate s
+    List.fold_left step s
       [ Gate.X 1; Gate.Cnot { control = 0; target = 2 };
         Gate.Toffoli { c1 = 0; c2 = 1; target = 2 }; Gate.Swap (0, 1);
         Gate.Z 1; Gate.Phase (1, Phase.theta 2) ]
   in
   check_bool "permutation/diagonal stay classical" true (State.is_classical s);
-  let s = State.apply_gate s (Gate.H 0) in
-  check_bool "H promotes to sparse" false (State.is_classical s);
-  check_int "two terms" 2 (State.num_terms s);
-  let s = State.apply_gate s (Gate.H 0) in
-  check_bool "HH demotes back to classical" true (State.is_classical s);
-  let pinned = State.copy s in
-  State.force_sparse pinned;
-  let pinned = State.apply_gate (State.apply_gate pinned (Gate.H 0)) (Gate.H 0) in
-  check_bool "pinned state never demotes" false (State.is_classical pinned);
-  check_float "pinned state still exact" 1.0 (State.fidelity s pinned)
+  let minus = step s (Gate.H 0) in
+  check_bool "H stays on the classical track" true (State.is_classical minus);
+  check_int "H gives two terms" 2 (State.num_terms minus);
+  check_int "support of one X-basis wire" 2 (State.support_size minus);
+  let back = step minus (Gate.H 0) in
+  check_bool "HH stays classical" true (State.is_classical back);
+  check_int "HH gives one term again" 1 (State.num_terms back);
+  check_int "HH restores the basis value" 0b011 (classical_exn back);
+  let kicked =
+    List.fold_left step minus
+      [ Gate.X 2; Gate.Toffoli { c1 = 1; c2 = 2; target = 0 };
+        Gate.Cz (1, 0); Gate.Cnot { control = 1; target = 0 }; Gate.Z 0 ]
+  in
+  check_bool "kickback stays classical" true (State.is_classical kicked);
+  same_amps "measuring |-> as 1"
+    (State.project kicked ~qubit:0 ~value:true)
+    (State.Reference.project kicked ~qubit:0 ~value:true);
+  let promoted = step minus (Gate.Cnot { control = 0; target = 2 }) in
+  check_bool "CNOT controlled by an X-basis wire promotes" false
+    (State.is_classical promoted);
+  check_int "promoted state has two terms" 2 (State.num_terms promoted)
 
 let test_run_does_not_mutate_init () =
   let c = Circuit.make ~num_qubits:2 [ Instr.Gate (Gate.X 0) ] in

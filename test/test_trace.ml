@@ -206,6 +206,55 @@ let test_sim_span_events_nest () =
   Alcotest.(check int) "enter count = static span count" !enters
     (Instr.count_spans (Builder.to_circuit b).Circuit.instrs)
 
+(* Exact event order around conditionals: span events inside an untaken
+   body never fire, empty spans fire at their place in program order, spans
+   in shared blocks fire once per reference, and a budget error carries the
+   enclosing span path. *)
+let test_sim_events_across_branches () =
+  let g x = Instr.Gate x in
+  let sp label body = Instr.Span { label; peak_ancillas = 0; body } in
+  let ifb bit value body = Instr.If_bit { bit; value; body } in
+  let shared = Instr.share [ g (Gate.X 2); sp "inner" [] ] in
+  let c =
+    Circuit.make
+      [ sp "a" [];
+        g (Gate.X 0);
+        sp "b"
+          [ Instr.Measure { qubit = 0; bit = 0; reset = true };
+            ifb 0 true [ sp "c" [ g (Gate.X 1) ]; sp "d" [] ] ];
+        ifb 0 false [ sp "skipped" [ g (Gate.X 1) ]; sp "skipped-empty" [] ];
+        sp "e" [ shared; shared ];
+        ifb 0 true [ ifb 0 false [ sp "nested-skipped" [] ]; sp "f" [] ] ]
+  in
+  let log = ref [] in
+  let on_event e =
+    let line =
+      match e with
+      | Sim.Gate_applied g -> Format.asprintf "%a" Gate.pp g
+      | Sim.Measured { bit; outcome; _ } -> Printf.sprintf "M%d=%b" bit outcome
+      | Sim.Branch { bit; value; taken } ->
+          Printf.sprintf "if c%d=%b %s" bit value (if taken then "taken" else "skipped")
+      | Sim.Span_enter { path; _ } -> "> " ^ String.concat "/" path
+      | Sim.Span_exit { path; _ } -> "< " ^ String.concat "/" path
+    in
+    log := line :: !log
+  in
+  ignore (Sim.run ~on_event c ~init:(State.basis ~num_qubits:3 0));
+  Alcotest.(check (list string)) "event order"
+    [ "> a"; "< a"; "X 0"; "> b"; "M0=true"; "if c0=true taken"; "> b/c"; "X 1";
+      "< b/c"; "> b/d"; "< b/d"; "< b"; "if c0=false skipped"; "> e"; "X 2";
+      "> e/inner"; "< e/inner"; "X 2"; "> e/inner"; "< e/inner"; "< e";
+      "if c0=true taken"; "if c0=false skipped"; "> f"; "< f" ]
+    (List.rev !log);
+  let budget =
+    Circuit.make [ sp "outer" [ sp "deep" [ g (Gate.H 0) ]; g (Gate.H 1) ] ]
+  in
+  match Sim.run ~max_terms:2 budget ~init:(State.basis ~num_qubits:2 0) with
+  | _ -> Alcotest.fail "expected a resource limit"
+  | exception Mbu_error.Error e ->
+      Alcotest.(check (list string)) "budget error path" [ "outer" ]
+        e.Mbu_error.path
+
 let suite =
   ( "trace",
     [ Alcotest.test_case "span conservation (table 1)" `Quick
@@ -224,4 +273,6 @@ let suite =
       Alcotest.test_case "mbu branch frequency via run_shots" `Quick
         test_mbu_branch_frequency_run_shots;
       Alcotest.test_case "simulator span events" `Quick
-        test_sim_span_events_nest ] )
+        test_sim_span_events_nest;
+      Alcotest.test_case "simulator events across branches" `Quick
+        test_sim_events_across_branches ] )
